@@ -24,7 +24,7 @@ from .bandwidth import (
     octave_bandwidth,
 )
 from .gamma2 import cdf_a2, check_transform_identity, median_a2, quantile_a2
-from .lambertw import Branch, branch_difference_from_log_ratio, w0, wm1
+from .lambertw import Branch, branch_difference_from_log_ratio, w0, wm1, wm1_from_log
 from .oracle import BracketError, oracle_crossings, oracle_lambert_w, oracle_median_a2
 
 __version__ = "0.1.0"
@@ -33,6 +33,7 @@ __all__ = [
     "Branch",
     "w0",
     "wm1",
+    "wm1_from_log",
     "branch_difference_from_log_ratio",
     "ShapeScale",
     "GammaShapeSpec",

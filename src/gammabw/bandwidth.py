@@ -15,14 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lambertw import (
-    _LOG_FORM_CUT,
-    _wm1_from_log,
-    Branch,
-    branch_difference_from_log_ratio,
-    w0,
-    wm1,
-)
+from . import lambertw
+
+# wm1 and branch_difference_from_log_ratio are not called here; they stay
+# importable from this module, where benchmarks/tracing.py wraps them.
+from .lambertw import Branch, branch_difference_from_log_ratio, w0, wm1, wm1_from_log  # noqa: F401
 
 __all__ = [
     "ShapeScale",
@@ -42,10 +39,10 @@ __all__ = [
     "octave_bandwidth",
 ]
 
-_INV_E = 1.0 / math.e
+_LN2 = math.log(2.0)
 
 # FWHM of a unit-variance normal curve.
-_GAUSS_FWHM_UNIT_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
+_GAUSS_FWHM_UNIT_SIGMA = 2.0 * math.sqrt(2.0 * _LN2)
 
 # How far a requested density level may exceed the computed maximum before
 # it is rejected; callers often pass y*p_max recomputed with rounding.
@@ -177,7 +174,7 @@ def inverse_pdf(p: float, params: ShapeScale, branch: Branch) -> float:
         raise ValueError("inverse_pdf needs a > 1; the density is one-sided at a = 1")
     if not (math.isfinite(p) and p > 0.0):
         raise ValueError(f"density level must be positive, got {p!r}")
-    m = (a - 1.0) * b
+    m = mode(params)
     p_max = gamma_pdf(m, params)
     if p > p_max * (1.0 + _PMAX_SLACK):
         raise ValueError(
@@ -186,23 +183,10 @@ def inverse_pdf(p: float, params: ShapeScale, branch: Branch) -> float:
     # Argument of W, assembled in log space so that huge a and tiny p
     # neither overflow nor lose the lead digits.
     t = (math.log(p) + math.lgamma(a) + a * math.log(b)) / (a - 1.0) - math.log(m)
-    if branch is Branch.SECONDARY and t <= _LOG_FORM_CUT:
-        return -m * _wm1_from_log(t)
-    z = -math.exp(t)
-    if z < -_INV_E:
-        z = -_INV_E
-    w = w0(z) if branch is Branch.PRINCIPAL else wm1(z)
+    if t > -1.0:
+        t = -1.0  # a level at the maximum, up to rounding: the branch point
+    w = w0(-math.exp(t)) if branch is Branch.PRINCIPAL else wm1_from_log(t)
     return -m * w + 0.0  # + 0.0 normalizes the -0.0 arising at tiny levels
-
-
-def _crossing_w_values(r: float) -> tuple[float, float]:
-    # Branch values (w0, wm1) at z = -exp(r - 1), falling back to the
-    # log-form solve when z underflows (extreme proportions or a -> 1).
-    log_z = r - 1.0
-    z = -math.exp(log_z)
-    lo = w0(z)
-    hi = _wm1_from_log(log_z) if log_z <= _LOG_FORM_CUT else wm1(z)
-    return lo, hi
 
 
 def fwym(params: ShapeScale, y: float) -> WidthResult:
@@ -212,23 +196,25 @@ def fwym(params: ShapeScale, y: float) -> WidthResult:
     with z = -exp(ln(y)/(a-1) - 1); the width itself goes through the
     cancellation-free branch difference. a = 1 is the exponential special
     case with x_low = 0 and width -b*ln(y); y = 1 returns the degenerate
-    zero-width result at the mode.
+    zero-width result at the mode. Raises ValueError when a crossing or
+    the width overflows double precision.
     """
     _check_proportion(y)
     a, b = params.a, params.b
-    peak = (a - 1.0) * b
+    peak = mode(params)
     if y == 1.0:
-        return WidthResult(x_low=peak, x_high=peak, width=0.0, mode=peak, y=y)
-    if a == 1.0:
-        span = -b * math.log(y)
-        return WidthResult(x_low=0.0, x_high=span, width=span, mode=0.0, y=y)
-    r = math.log(y) / (a - 1.0)
-    width = ((a - 1.0) * branch_difference_from_log_ratio(r)) * b
-    w_lo, w_hi = _crossing_w_values(r)
-    # + 0.0 normalizes the -0.0 left crossing arising at extreme proportions
-    return WidthResult(
-        x_low=-peak * w_lo + 0.0, x_high=-peak * w_hi, width=width, mode=peak, y=y
-    )
+        x_low, x_high, width = peak, peak, 0.0
+    elif a == 1.0:
+        x_low, x_high = 0.0, -b * math.log(y)
+        width = x_high
+    else:
+        w_lo, w_hi, diff = lambertw._cut(math.log(y) / (a - 1.0))
+        # + 0.0 normalizes the -0.0 left crossing arising at extreme proportions
+        x_low, x_high = -peak * w_lo + 0.0, -peak * w_hi
+        width = ((a - 1.0) * diff) * b
+    if not (math.isfinite(x_high) and math.isfinite(width)):
+        raise ValueError(f"fwym of {params!r} at y={y!r} overflows double precision")
+    return WidthResult(x_low=x_low, x_high=x_high, width=width, mode=peak, y=y)
 
 
 def fwhm(params: ShapeScale) -> WidthResult:
@@ -279,19 +265,22 @@ def octave_bandwidth(params: ShapeScale, y: float) -> OctaveResult:
     """Crossing ratio in octaves: log2(high/low) at proportion y of the max.
 
     Needs a > 1 (the low crossing sits at 0 when a = 1, so the ratio is
-    undefined there). The octave count depends only on the shape and the
-    proportion, not on the scale. y = 1 is accepted as the degenerate
-    closure with both crossings at the mode and 0 octaves.
+    undefined there). Both branches solve w + ln(-w) = ln(-z), so the count
+    is (W0 - Wm1)/ln 2, which stays finite where the low crossing
+    underflows. It depends only on the shape and the proportion, not on
+    the scale. y = 1 gives both crossings at the mode and 0 octaves.
+    Raises ValueError when the high crossing overflows.
     """
     _check_proportion(y)
-    a, b = params.a, params.b
+    a = params.a
     if a <= 1.0:
         raise ValueError("octave bandwidth needs a > 1; the low crossing is 0 at a = 1")
-    peak = (a - 1.0) * b
+    peak = mode(params)
     if y == 1.0:
-        return OctaveResult(high=peak, low=peak, octaves=0.0)
-    r = math.log(y) / (a - 1.0)
-    w_lo, w_hi = _crossing_w_values(r)
-    return OctaveResult(
-        high=-peak * w_hi, low=-peak * w_lo + 0.0, octaves=math.log2(w_hi / w_lo)
-    )
+        high, low, octaves = peak, peak, 0.0
+    else:
+        w_lo, w_hi, diff = lambertw._cut(math.log(y) / (a - 1.0))
+        high, low, octaves = -peak * w_hi, -peak * w_lo + 0.0, diff / _LN2
+    if not math.isfinite(high):
+        raise ValueError(f"high crossing of {params!r} at y={y!r} overflows double precision")
+    return OctaveResult(high=high, low=low, octaves=octaves)

@@ -68,7 +68,9 @@ def check_transform_identity(p: float, b: float) -> float:
     upper = inverse_pdf(level, params, Branch.SECONDARY)
     # The secondary branch is the larger of the two inverse values on the
     # whole valid domain at shape 2.
-    assert upper >= inverse_pdf(level, params, Branch.PRINCIPAL)
+    lower = inverse_pdf(level, params, Branch.PRINCIPAL)
+    if upper < lower:
+        raise ArithmeticError(f"inverse_pdf branches out of order at p={p!r}, b={b!r}")
     lhs = upper / b
     rhs = quantile_a2(1.0 - p, b) / b + 1.0
     return abs(lhs - rhs)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-__all__ = ["Branch", "w0", "wm1", "branch_difference_from_log_ratio"]
+__all__ = ["Branch", "w0", "wm1", "wm1_from_log", "branch_difference_from_log_ratio"]
 
 _E = math.e
 _INV_E = 1.0 / math.e
@@ -38,8 +38,8 @@ _SERIES_Q_CUT = 1e-3
 # w*exp(w) vanishes like sqrt(q) there, so f/f' amplifies rounding of f.
 _SERIES_ONLY_Q = 1e-4
 
-# exp(r - 1) is degraded or underflows once r - 1 drops below roughly -690;
-# the secondary branch is then solved from the log form instead.
+# exp(m) is degraded or underflows once m drops below roughly -690;
+# wm1_from_log then solves the secondary branch from the log form instead.
 _LOG_FORM_CUT = -690.0
 
 
@@ -135,12 +135,14 @@ def wm1(z: float) -> float:
     return w if w <= -1.0 else -1.0
 
 
-def _wm1_from_log(m: float) -> float:
-    """Secondary branch with a log-scale argument: solves w + log(-w) = m.
-
-    Equivalent to wm1(-exp(m)) but usable when exp(m) underflows, which
-    happens for proportions y**(1/(a-1)) far below double-precision range.
-    """
+def wm1_from_log(m: float) -> float:
+    """Secondary branch at z = -exp(m), m <= -1: wm1(-exp(m)) while exp(m)
+    is accurate, else (proportions y**(1/(a-1)) far below double-precision
+    range, where exp(m) underflows) the log form w + log(-w) = m."""
+    if m > _LOG_FORM_CUT:
+        return wm1(-math.exp(m))
+    if not math.isfinite(m):
+        raise ValueError(f"wm1_from_log needs a finite m <= -1, got {m!r}")
     w = m - math.log(-m)
     for _ in range(_MAX_ITER):
         h = w + math.log(-w) - m
@@ -160,6 +162,19 @@ def _difference_series(q: float) -> float:
     return p * (2.0 + p2 * (11.0 / 36.0 + p2 * (769.0 / 8640.0 + p2 * (680863.0 / 21772800.0))))
 
 
+def _cut(r: float) -> tuple[float, float, float]:
+    """(W0, Wm1, W0 - Wm1) at z = -exp(r - 1) for an unchecked r <= 0, each
+    branch solved once; the difference is the odd series where the direct
+    one cancels (q < _SERIES_Q_CUT) and exactly 0 at r = 0."""
+    m = r - 1.0
+    w_lo = w0(-math.exp(m))
+    w_hi = wm1_from_log(m)
+    q = -math.expm1(r)
+    if q >= _SERIES_Q_CUT:
+        return w_lo, w_hi, w_lo - w_hi
+    return w_lo, w_hi, _difference_series(q) if r else 0.0
+
+
 def branch_difference_from_log_ratio(r: float) -> float:
     """W0(z) - Wm1(z) at z = -exp(r - 1), accurate all the way to r -> 0-.
 
@@ -172,13 +187,4 @@ def branch_difference_from_log_ratio(r: float) -> float:
     """
     if not math.isfinite(r) or r > 0.0:
         raise ValueError(f"log ratio must be finite and <= 0, got {r!r}")
-    if r == 0.0:
-        return 0.0
-    q = -math.expm1(r)
-    if q < _SERIES_Q_CUT:
-        return _difference_series(q)
-    m = r - 1.0
-    if m <= _LOG_FORM_CUT:
-        return w0(-math.exp(m)) - _wm1_from_log(m)
-    z = -math.exp(m)
-    return w0(z) - wm1(z)
+    return _cut(r)[2]

@@ -19,7 +19,8 @@ from gammabw.bandwidth import (
     mode,
     octave_bandwidth,
 )
-from gammabw.lambertw import Branch
+from gammabw import lambertw
+from gammabw.lambertw import Branch, branch_difference_from_log_ratio
 
 # Frozen oracle values (double bisection cross-checked against a 60-digit
 # evaluation; routes agree to a few 1e-16 relative).
@@ -32,6 +33,14 @@ OCTAVES_A2_HALF = 3.529389003723367
 GAUSS_A2_B1 = 3.330218444630791
 GAUSS_COEF = 2.3548200450309493  # 2*sqrt(2 ln 2)
 APPROX_ERR_A2 = 0.3612808421166528
+# 50-digit mpmath log2(Wm1/W0) at log-form cuts, where the low crossing is
+# subnormal or 0 and the ratio high/low overflows: (a, y, octaves).
+OCTAVES_LOG_FORM = (
+    (1.0032739518672797, 0.1, 1025.5700586530441772),
+    (1.0001, 0.5, 10014.203688753823235),
+)
+# Inputs whose crossings or width overflow double precision: (a, b, y).
+OVERFLOWING = ((2.0, 1e308, 0.5), (1e300, 1e300, 0.5), (1.0, 1e308, 1e-300))
 
 
 def rel_err(got, want):
@@ -289,6 +298,11 @@ class TestFwym:
         with pytest.raises(ValueError):
             fwym(ShapeScale(2.0, 1.0), y)
 
+    @pytest.mark.parametrize("a,b,y", OVERFLOWING)
+    def test_overflow_raises(self, a, b, y):
+        with pytest.raises(ValueError, match="overflow"):
+            fwym(ShapeScale(a, b), y)
+
     def test_scale_covariance(self):
         for c in (0.1, 1.0, 7.0, 1e3):
             for a in (1.5, 2.0, 10.0):
@@ -410,3 +424,56 @@ class TestOctaveBandwidth:
                 assert abs(res.octaves - math.log2(wres.x_high / wres.x_low)) < 1e-10
                 assert res.high == wres.x_high
                 assert res.low == wres.x_low
+
+    @pytest.mark.parametrize("a,y,want", OCTAVES_LOG_FORM)
+    def test_finite_where_low_crossing_underflows(self, a, y, want):
+        res = octave_bandwidth(ShapeScale(a, 1.0), y)
+        assert res.low < 1e-307
+        assert rel_err(res.octaves, want) < 1e-12
+
+    @pytest.mark.parametrize(
+        "a,y",
+        [(2.0, 0.5), (1.5, 0.1), (3.0, 1.0 - 5e-4), (1e5, 0.5), (1.0001, 0.5), (20.0, 1e-300)],
+    )
+    def test_equals_branch_difference_over_ln2(self, a, y):
+        r = math.log(y) / (a - 1.0)
+        want = branch_difference_from_log_ratio(r) / math.log(2.0)
+        assert octave_bandwidth(ShapeScale(a, 1.0), y).octaves == want
+
+    def test_overflow_raises(self):
+        with pytest.raises(ValueError, match="overflow"):
+            octave_bandwidth(ShapeScale(2.0, 1e308), 0.5)
+
+
+def count_calls(monkeypatch, module, names):
+    """Wrap module.<name> for each name with a counter; return the counts."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(module, name)
+
+        def counted(*args, _name=name, _fn=fn):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestWorkCounts:
+    """Lambert evaluations per cut: each branch is solved once."""
+
+    @pytest.mark.parametrize("fn", [fwym, octave_bandwidth])
+    def test_halley_regime_cut(self, monkeypatch, fn):
+        counts = count_calls(monkeypatch, lambertw, ("w0", "wm1"))
+        fn(ShapeScale(3.0, 1.0), 0.5)
+        assert counts == {"w0": 1, "wm1": 1}
+
+    def test_series_regime_cut(self, monkeypatch):
+        counts = count_calls(monkeypatch, lambertw, ("w0", "wm1"))
+        fwym(ShapeScale(3.0, 1.0), 1.0 - 1e-6)
+        assert counts == {"w0": 1, "wm1": 1}
+
+    def test_log_form_cut_skips_wm1(self, monkeypatch):
+        counts = count_calls(monkeypatch, lambertw, ("w0", "wm1"))
+        fwym(ShapeScale(1.0001, 1.0), 0.5)
+        assert counts == {"w0": 1, "wm1": 0}

@@ -8,7 +8,7 @@ import pytest
 from conftest import GOLDEN_INVOCATIONS
 
 from gammabw import cli
-from gammabw.bandwidth import ShapeScale, fwhm, fwym
+from gammabw.bandwidth import ShapeScale, approx_proportional_error, fwhm, fwym
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -98,6 +98,22 @@ class TestFwhmCommand:
         with pytest.raises(SystemExit) as exc:
             cli.main(["fwhm", "--a", "2", "--b", "1", "--nope"])
         assert exc.value.code == 2
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fwhm", "--a", "2", "--b", "1e308"],
+            ["fwhm", "--a", "1e300", "--b", "1e300"],
+            ["fwhm", "--a", "1", "--b", "1e308", "--y", "1e-300"],
+            ["octave", "--a", "2", "--b", "1e308"],
+        ],
+    )
+    def test_overflow_exits_2(self, argv, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "overflow" in captured.err
+        assert captured.out == ""
 
 
 class TestVerify:
@@ -194,6 +210,20 @@ class TestCompareCommand:
         coef = 2.0 * math.sqrt(2.0 * math.log(2.0))
         for a, g in zip(obj["a"], obj["gaussian_fwhm"]):
             assert g == coef * math.sqrt(a)
+
+    def test_one_fwhm_per_row(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return fwhm(params)
+
+        monkeypatch.setattr(cli, "fwhm", counted)
+        assert cli.main(["compare", "--a-min", "1.5", "--a-max", "1e6", "--points", "9", "--format", "json"]) == 0
+        assert len(calls) == 9
+        obj = json.loads(capsys.readouterr().out)
+        for a, e in zip(obj["a"], obj["proportional_error"]):
+            assert e == approx_proportional_error(ShapeScale(a, 1.0))
 
     @pytest.mark.parametrize(
         "argv",

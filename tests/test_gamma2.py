@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gammabw import gamma2
 from gammabw.gamma2 import cdf_a2, check_transform_identity, median_a2, quantile_a2
+from gammabw.lambertw import Branch
 
 # Frozen: bisection of the CDF against 1/2 cross-checked at 60 digits.
 MEDIAN_B1 = 1.6783469900166605
@@ -113,6 +115,15 @@ class TestTransformIdentity:
     def test_domain_errors(self, p, b):
         with pytest.raises(ValueError):
             check_transform_identity(p, b)
+
+    def test_branch_order_checked_without_assert(self, monkeypatch):
+        # an explicit raise, not an assert, so it also holds under python -O
+        def swapped(level, params, branch):
+            return 1.0 if branch is Branch.SECONDARY else 2.0
+
+        monkeypatch.setattr(gamma2, "inverse_pdf", swapped)
+        with pytest.raises(ArithmeticError, match="out of order"):
+            check_transform_identity(0.5, 1.0)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -10,6 +10,7 @@ from gammabw.lambertw import (
     branch_difference_from_log_ratio,
     w0,
     wm1,
+    wm1_from_log,
 )
 
 INV_E = 1.0 / math.e
@@ -184,3 +185,24 @@ class TestBranchDifference:
         d2 = branch_difference_from_log_ratio(-1e8)
         assert 790.0 < d1 < 810.0
         assert d2 > 1e8
+
+
+class TestWm1FromLog:
+    @pytest.mark.parametrize("m", [-1.0, -1.0 - 1e-9, -1.5, -5.0, -40.0, -689.0])
+    def test_equals_wm1_above_log_form_cut(self, m):
+        assert wm1_from_log(m) == wm1(-math.exp(m))
+
+    def test_continuous_across_log_form_cut(self):
+        for m in (-690.0, -690.0 - 1e-9, -700.0):
+            assert rel_err(wm1_from_log(m), wm1(-math.exp(m))) < 1e-13
+
+    @pytest.mark.parametrize("m", [-800.0, -1e5, -1e300])
+    def test_log_form_solves_level_equation(self, m):
+        w = wm1_from_log(m)
+        assert w <= m
+        assert abs(w + math.log(-w) - m) <= 4.0 * math.ulp(m)
+
+    @pytest.mark.parametrize("m", [-math.inf, math.nan, -0.5])
+    def test_domain_errors(self, m):
+        with pytest.raises(ValueError):
+            wm1_from_log(m)
