@@ -1,5 +1,33 @@
 """Shared fixtures: the golden-file manifest used by the CLI tests, the
-acceptance gate, and scripts/make_goldens.py."""
+acceptance gate, and scripts/make_goldens.py, and a call counter for
+machine-independent work counts."""
+
+import pytest
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(modules, names) wraps each name in every module that has
+    it with one shared counter per name, so calls are counted whichever
+    module a caller looks the name up in; returns the counts."""
+
+    def install(modules, names):
+        counts = dict.fromkeys(names, 0)
+        for module in modules:
+            for name in names:
+                fn = getattr(module, name, None)
+                if fn is None:
+                    continue
+
+                def counted(*args, _name=name, _fn=fn):
+                    counts[_name] += 1
+                    return _fn(*args)
+
+                monkeypatch.setattr(module, name, counted)
+        return counts
+
+    return install
+
 
 GOLDEN_INVOCATIONS = [
     ("fwhm_a2_b1.plain", ["fwhm", "--a", "2", "--b", "1"]),

@@ -19,7 +19,7 @@ from gammabw.bandwidth import (
     mode,
     octave_bandwidth,
 )
-from gammabw import lambertw
+from gammabw import bandwidth, lambertw
 from gammabw.lambertw import Branch, branch_difference_from_log_ratio
 
 # Frozen oracle values (double bisection cross-checked against a 60-digit
@@ -444,36 +444,24 @@ class TestOctaveBandwidth:
         with pytest.raises(ValueError, match="overflow"):
             octave_bandwidth(ShapeScale(2.0, 1e308), 0.5)
 
-
-def count_calls(monkeypatch, module, names):
-    """Wrap module.<name> for each name with a counter; return the counts."""
-    counts = dict.fromkeys(names, 0)
-    for name in names:
-        fn = getattr(module, name)
-
-        def counted(*args, _name=name, _fn=fn):
-            counts[_name] += 1
-            return _fn(*args)
-
-        monkeypatch.setattr(module, name, counted)
-    return counts
+BRANCHES = ((lambertw, bandwidth), ("w0", "wm1"))
 
 
 class TestWorkCounts:
     """Lambert evaluations per cut: each branch is solved once."""
 
     @pytest.mark.parametrize("fn", [fwym, octave_bandwidth])
-    def test_halley_regime_cut(self, monkeypatch, fn):
-        counts = count_calls(monkeypatch, lambertw, ("w0", "wm1"))
+    def test_halley_regime_cut(self, count_calls, fn):
+        counts = count_calls(*BRANCHES)
         fn(ShapeScale(3.0, 1.0), 0.5)
         assert counts == {"w0": 1, "wm1": 1}
 
-    def test_series_regime_cut(self, monkeypatch):
-        counts = count_calls(monkeypatch, lambertw, ("w0", "wm1"))
+    def test_series_regime_cut(self, count_calls):
+        counts = count_calls(*BRANCHES)
         fwym(ShapeScale(3.0, 1.0), 1.0 - 1e-6)
         assert counts == {"w0": 1, "wm1": 1}
 
-    def test_log_form_cut_skips_wm1(self, monkeypatch):
-        counts = count_calls(monkeypatch, lambertw, ("w0", "wm1"))
+    def test_log_form_cut_skips_wm1(self, count_calls):
+        counts = count_calls(*BRANCHES)
         fwym(ShapeScale(1.0001, 1.0), 0.5)
         assert counts == {"w0": 1, "wm1": 0}

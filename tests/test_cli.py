@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from conftest import GOLDEN_INVOCATIONS
 
-from gammabw import cli
+from gammabw import bandwidth, cli
 from gammabw.bandwidth import ShapeScale, approx_proportional_error, fwhm, fwym
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -211,16 +211,10 @@ class TestCompareCommand:
         for a, g in zip(obj["a"], obj["gaussian_fwhm"]):
             assert g == coef * math.sqrt(a)
 
-    def test_one_fwhm_per_row(self, capsys, monkeypatch):
-        calls = []
-
-        def counted(params):
-            calls.append(params)
-            return fwhm(params)
-
-        monkeypatch.setattr(cli, "fwhm", counted)
+    def test_one_fwhm_per_row(self, capsys, count_calls):
+        counts = count_calls((cli, bandwidth), ("fwhm",))
         assert cli.main(["compare", "--a-min", "1.5", "--a-max", "1e6", "--points", "9", "--format", "json"]) == 0
-        assert len(calls) == 9
+        assert counts == {"fwhm": 9}
         obj = json.loads(capsys.readouterr().out)
         for a, e in zip(obj["a"], obj["proportional_error"]):
             assert e == approx_proportional_error(ShapeScale(a, 1.0))
