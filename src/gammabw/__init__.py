@@ -19,7 +19,6 @@ from .bandwidth import (
     gamma_shaped,
     gaussian_fwhm_approx,
     inverse_pdf,
-    log_gamma,
     mode,
     octave_bandwidth,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "GammaShapeSpec",
     "WidthResult",
     "OctaveResult",
-    "log_gamma",
     "gamma_pdf",
     "gamma_shaped",
     "mode",

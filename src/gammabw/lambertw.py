@@ -2,13 +2,13 @@
 
 Scalar, dependency-free evaluation of the two real branches of the inverse
 of u -> u*exp(u): the principal branch (w >= -1, defined for z >= -1/e) and
-the secondary branch (w <= -1, defined for -1/e <= z < 0). Also provides a
-cancellation-free evaluation of the branch difference W0(z) - Wm1(z) for
-arguments of the form z = -exp(r - 1), which is where both branches are
-needed at once when cutting a unimodal peak at a fixed fraction of its
-maximum. Near the branch point z = -1/e the two branches agree to O(sqrt),
-so the plain difference loses half the working precision; the dedicated
-entry point switches to the odd part of the branch-point expansion there.
+the secondary branch (w <= -1, defined for -1/e <= z < 0). Also provides
+both branches at once for arguments of the form z = -exp(r - 1), which is
+where a unimodal peak is cut at a fixed fraction of its maximum. Near the
+branch point z = -1/e the two branches agree to O(sqrt), so there each is
+taken from the branch-point expansion of W + 1 in the exact q = -expm1(r):
+the two offsets have opposite signs, so neither their difference nor the
+crossings built from them cancel.
 """
 
 from __future__ import annotations
@@ -29,14 +29,11 @@ _BRANCH_POINT_SLACK = 4.0 * _EPS * _INV_E
 _RESIDUAL_REL = 1e-13
 _MAX_ITER = 50
 
-# Below this value of q = 1 + e*z the direct difference w0 - wm1 cancels
-# too strongly and the odd series takes over.
-_SERIES_Q_CUT = 1e-3
-
-# Below this q the branch-point series is already exact to double precision
-# (truncation ~1.5e-17) and Halley steps would only add noise: the slope of
-# w*exp(w) vanishes like sqrt(q) there, so f/f' amplifies rounding of f.
-_SERIES_ONLY_Q = 1e-4
+# Below this q = 1 + e*z both branches come from the branch-point series,
+# exact to double precision there (truncation 2.3e-18 relative to W + 1),
+# without Halley steps: the slope of w*exp(w) vanishes like sqrt(q), so
+# f/f' would amplify the rounding of f, and w0 - wm1 would cancel.
+_SERIES_Q = 1e-3
 
 # exp(m) is degraded or underflows once m drops below roughly -690;
 # wm1_from_log then solves the secondary branch from the log form instead.
@@ -57,6 +54,15 @@ def _branch_point_series(p: float) -> float:
     return -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 + p * (
         -43.0 / 540.0 + p * (769.0 / 17280.0 + p * (
             -221.0 / 8505.0 + p * (680863.0 / 43545600.0)))))))
+
+
+def _offset_series(p: float) -> float:
+    # W + 1 through p^11, the coefficients of Corless et al. (1996), eq. 4.22;
+    # the sign of p = +-sqrt(2q) selects the branch.
+    return p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 + p * (-43.0 / 540.0 + p * (
+        769.0 / 17280.0 + p * (-221.0 / 8505.0 + p * (680863.0 / 43545600.0 + p * (
+            -1963.0 / 204120.0 + p * (226287557.0 / 37623398400.0 + p * (
+                -5776369.0 / 1515591000.0 + p * (169709463197.0 / 69528040243200.0)))))))))))
 
 
 def _halley(w: float, z: float) -> float:
@@ -99,9 +105,10 @@ def w0(z: float) -> float:
             if z >= -_INV_E - _BRANCH_POINT_SLACK:
                 return -1.0
             raise ValueError(f"w0 is undefined below -1/e, got z={z!r}")
-        w = _branch_point_series(math.sqrt(2.0 * q))
-        if q < _SERIES_ONLY_Q:
-            return w
+        p = math.sqrt(2.0 * q)
+        if q < _SERIES_Q:
+            return _offset_series(p) - 1.0
+        w = _branch_point_series(p)
     elif z <= _E:
         w = z / (1.0 + z)
     else:
@@ -124,10 +131,10 @@ def wm1(z: float) -> float:
         if z >= -_INV_E - _BRANCH_POINT_SLACK:
             return -1.0
         raise ValueError(f"wm1 is undefined below -1/e, got z={z!r}")
+    if q < _SERIES_Q:
+        return _offset_series(-math.sqrt(2.0 * q)) - 1.0
     if q < 0.5:
         w = _branch_point_series(-math.sqrt(2.0 * q))
-        if q < _SERIES_ONLY_Q:
-            return w
     else:
         ll = math.log(-z)
         w = ll - math.log(-ll)
@@ -153,26 +160,23 @@ def wm1_from_log(m: float) -> float:
     raise ArithmeticError(f"log-form secondary branch did not converge for m={m!r}")
 
 
-def _difference_series(q: float) -> float:
-    # Odd part of the branch-point expansion; the even terms cancel in the
-    # difference. Truncation after p^7 keeps the relative error below
-    # ~1e-13 for q <= 1e-3.
-    p2 = 2.0 * q
-    p = math.sqrt(p2)
-    return p * (2.0 + p2 * (11.0 / 36.0 + p2 * (769.0 / 8640.0 + p2 * (680863.0 / 21772800.0))))
-
-
-def _cut(r: float) -> tuple[float, float, float]:
-    """(W0, Wm1, W0 - Wm1) at z = -exp(r - 1) for an unchecked r <= 0, each
-    branch solved once; the difference is the odd series where the direct
-    one cancels (q < _SERIES_Q_CUT) and exactly 0 at r = 0."""
-    m = r - 1.0
-    w_lo = w0(-math.exp(m))
-    w_hi = wm1_from_log(m)
+def _cut(r: float, scale: float) -> tuple[float, float, float]:
+    """(-scale*W0, -scale*Wm1, W0 - Wm1) at z = -exp(r - 1) for an unchecked
+    r <= 0 and scale >= 0: the two crossings of a cut at a peak whose mode
+    is scale, and the branch difference, each branch solved once."""
     q = -math.expm1(r)
-    if q >= _SERIES_Q_CUT:
-        return w_lo, w_hi, w_lo - w_hi
-    return w_lo, w_hi, _difference_series(q) if r else 0.0
+    if q < _SERIES_Q:
+        p = math.sqrt(2.0 * q)
+        lo, hi = _offset_series(p), _offset_series(-p)
+        return scale - scale * lo, scale - scale * hi, lo - hi
+    m = r - 1.0
+    w_hi = wm1_from_log(m)
+    if m <= _LOG_FORM_CUT and scale > 0.0:
+        # W0(z) = z to double precision; exp(m) alone may underflow
+        return math.exp(m + math.log(scale)), -scale * w_hi, -w_hi
+    w_lo = w0(-math.exp(m))
+    # + 0.0 normalizes the -0.0 low crossing of a mode that underflows to 0
+    return -scale * w_lo + 0.0, -scale * w_hi, w_lo - w_hi
 
 
 def branch_difference_from_log_ratio(r: float) -> float:
@@ -182,9 +186,9 @@ def branch_difference_from_log_ratio(r: float) -> float:
     (r = ln(y)/(a-1) for gamma-shaped peaks); r = 0 is the branch point,
     where the difference is exactly 0. The quantity q = 1 + e*z is formed
     as -expm1(r) without ever computing z, so no precision is lost when r
-    is tiny; below the series cutoff the odd branch-point expansion is
-    used instead of subtracting the two branches directly.
+    is tiny; below the series cutoff the branch-point expansions of both
+    branches are subtracted, whose offsets from -1 have opposite signs.
     """
     if not math.isfinite(r) or r > 0.0:
         raise ValueError(f"log ratio must be finite and <= 0, got {r!r}")
-    return _cut(r)[2]
+    return _cut(r, 1.0)[2]

@@ -15,7 +15,6 @@ from gammabw.bandwidth import (
     gamma_shaped,
     gaussian_fwhm_approx,
     inverse_pdf,
-    log_gamma,
     mode,
     octave_bandwidth,
 )
@@ -39,12 +38,41 @@ OCTAVES_LOG_FORM = (
     (1.0032739518672797, 0.1, 1025.5700586530441772),
     (1.0001, 0.5, 10014.203688753823235),
 )
+# Cuts within q = -expm1(ln(y)/(a-1)) < 1e-4 of the branch point, where a
+# crossing formed as -mode*W would round W ~ -1 before its offset: (a, b, y).
+NEAR_PEAK_CUTS = (
+    (3.0, 1.0, 1.0 - 1e-5),
+    (3.0, 2.0, 1.0 - 1e-10),
+    (7.0, 1.5, 1.0 - 1e-12),
+    (10.0, 0.5, 1.0 - 1e-8),
+    (50.0, 1.0, 0.9995),
+    (1000.0, 1.0, 1.0 - 1e-14),
+    (3e4, 2.0, 0.5),
+    (1e5, 1.0, 0.5),
+    (1e6, 1.0, 0.1),
+    (1e7, 0.01, 0.25),
+    (1e9, 1.0, 0.5),
+    (1e12, 3.0, 0.5),
+)
+# 50-digit mpmath low crossing of ShapeScale(1.5, 1e300) at y = 1e-300,
+# where z = -exp(r - 1) underflows though the crossing does not.
+XLOW_LOG_FORM = 1.8393972058572118e-301
 # Inputs whose crossings or width overflow double precision: (a, b, y).
 OVERFLOWING = ((2.0, 1e308, 0.5), (1e300, 1e300, 0.5), (1.0, 1e308, 1e-300))
 
 
 def rel_err(got, want):
     return abs(got - want) / abs(want)
+
+
+def mp_cut(mp, a, b, y):
+    """(x_low, x_high, width) of the cut at proportion y, in mpmath at its
+    working precision."""
+    am1 = mp.mpf(a) - 1
+    z = -mp.exp(mp.log(mp.mpf(y)) / am1 - 1)
+    m = am1 * mp.mpf(b)
+    w_lo, w_hi = mp.lambertw(z, 0).real, mp.lambertw(z, -1).real
+    return -m * w_lo, -m * w_hi, m * (w_lo - w_hi)
 
 
 class TestShapeScale:
@@ -65,28 +93,6 @@ class TestGammaShapeSpec:
     def test_rejects_nonfinite_shift(self):
         with pytest.raises(ValueError):
             GammaShapeSpec(ShapeScale(2.0, 1.0), s=math.inf)
-
-
-class TestLogGamma:
-    @pytest.mark.parametrize("a,want", [(1.0, 0.0), (2.0, 0.0), (5.0, math.log(24.0))])
-    def test_factorial_anchors(self, a, want):
-        assert log_gamma(a) == pytest.approx(want, rel=1e-14, abs=1e-15)
-
-    def test_matches_factorial_sum(self):
-        # ln Gamma(n) = sum of ln k for k < n
-        assert rel_err(log_gamma(11.0), sum(math.log(k) for k in range(1, 11))) < 1e-14
-
-    @pytest.mark.parametrize("a", [0.0, -1.0, -0.5])
-    def test_domain_errors(self, a):
-        with pytest.raises(ValueError):
-            log_gamma(a)
-
-    def test_accuracy_against_mpmath(self):
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 40
-        for a in (0.5, 0.9, 1.5, 2.5, 7.0, 31.4, 123.0, 4567.0, 1e5, 1e6):
-            want = float(mp.loggamma(a))
-            assert abs(log_gamma(a) - want) <= 1e-13 * max(abs(want), 1.0)
 
 
 class TestMode:
@@ -144,7 +150,7 @@ class TestGammaShaped:
 
     def test_matches_pdf_with_normalizing_amplitude(self):
         params = ShapeScale(3.0, 2.0)
-        k = 1.0 / (math.exp(log_gamma(3.0)) * 2.0**3)
+        k = 1.0 / (math.exp(math.lgamma(3.0)) * 2.0**3)
         spec = GammaShapeSpec(params, K=k)
         for x in (0.5, 2.0, 4.0, 9.0):
             assert rel_err(gamma_shaped(x, spec), gamma_pdf(x, params)) < 1e-13
@@ -311,6 +317,46 @@ class TestFwym:
                 assert rel_err(w1, w2) <= 2.0 * math.ulp(1.0)
 
 
+class TestNearPeak:
+    """Cuts near the branch point against 50-digit mpmath."""
+
+    @pytest.mark.parametrize("a,b,y", NEAR_PEAK_CUTS)
+    def test_crossings_within_half_width_bound(self, a, b, y):
+        mp = pytest.importorskip("mpmath")
+        res = fwym(ShapeScale(a, b), y)
+        with mp.workdps(50):
+            x_low, x_high, width = mp_cut(mp, a, b, y)
+            err_low, err_high = float(abs(res.x_low - x_low)), float(abs(res.x_high - x_high))
+        bound = math.ulp(res.mode) + 1e-12 * float(width) / 2.0
+        assert err_low <= bound
+        assert err_high <= bound
+
+    @pytest.mark.parametrize("a", [3.0, 101.0, 1e5])
+    def test_widths_below_and_across_seam(self, a):
+        # q spans [1e-14, 1e-3) and straddles the series seam at 1e-3; just
+        # above it the Halley regime subtracts w0 - wm1 directly, which
+        # cancels by ~1/sqrt(2q), and widths there are good to ~4e-14
+        mp = pytest.importorskip("mpmath")
+        qs = [10.0 ** (-14 + 11 * k / 22) for k in range(22)]
+        qs += [1e-3 * (1.0 - 1e-6), 1e-3 * (1.0 + 1e-6), 1.01e-3]
+        for q in qs:
+            y = math.exp((a - 1.0) * math.log1p(-q))
+            below = -math.expm1(math.log(y) / (a - 1.0)) < 1e-3
+            assert below == (q < 1e-3)
+            with mp.workdps(50):
+                want = float(mp_cut(mp, a, 1.0, y)[2])
+            got = fwym(ShapeScale(a, 1.0), y).width
+            assert rel_err(got, want) < (2e-15 if below else 1e-13), f"q={q!r}"
+
+    def test_log_form_low_crossing_does_not_underflow(self):
+        res = fwym(ShapeScale(1.5, 1e300), 1e-300)
+        assert rel_err(res.x_low, XLOW_LOG_FORM) < 1e-12
+
+    def test_log_form_low_crossing_of_underflowing_mode(self):
+        res = fwym(ShapeScale(1.0001, 5e-324), 0.5)
+        assert res.x_low == res.x_high == res.mode == 0.0
+
+
 class TestFwhm:
     def test_equals_fwym_at_half(self):
         assert fwhm(ShapeScale(3.0, 2.0)) == fwym(ShapeScale(3.0, 2.0), 0.5)
@@ -457,11 +503,13 @@ class TestWorkCounts:
         assert counts == {"w0": 1, "wm1": 1}
 
     def test_series_regime_cut(self, count_calls):
+        # both branches come from the series in q, with no w0/wm1 call
         counts = count_calls(*BRANCHES)
         fwym(ShapeScale(3.0, 1.0), 1.0 - 1e-6)
-        assert counts == {"w0": 1, "wm1": 1}
+        assert counts == {"w0": 0, "wm1": 0}
 
     def test_log_form_cut_skips_wm1(self, count_calls):
+        # W0(z) = z there, and the secondary branch is solved in log form
         counts = count_calls(*BRANCHES)
         fwym(ShapeScale(1.0001, 1.0), 0.5)
-        assert counts == {"w0": 1, "wm1": 0}
+        assert counts == {"w0": 0, "wm1": 0}
