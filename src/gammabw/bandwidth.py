@@ -13,7 +13,7 @@ approximation to the FWHM together with its overshoot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import lambertw
 
@@ -119,11 +119,6 @@ class OctaveResult:
             raise ValueError("octave count must be nonnegative")
 
 
-def _check_proportion(y: float) -> None:
-    if not (0.0 < y <= 1.0):
-        raise ValueError(f"proportion of maximum must lie in (0, 1], got {y!r}")
-
-
 def mode(params: ShapeScale) -> float:
     """Location of the density maximum, (a-1)*b; 0 for the exponential case."""
     return (params.a - 1.0) * params.b
@@ -182,6 +177,22 @@ def inverse_pdf(p: float, params: ShapeScale, branch: Branch) -> float:
     return -m * w + 0.0  # + 0.0 normalizes the -0.0 arising at tiny levels
 
 
+def _crossings(params: ShapeScale, y: float) -> tuple[float, float, float]:
+    """(x_low, x_high, W0 - Wm1) of the density cut at proportion y of its
+    maximum, at z = -exp(ln(y)/(a-1) - 1); y = 1 is the branch point, where
+    both crossings sit at the mode, and at a = 1 (z = 0) the low crossing
+    is 0 and the branch difference infinite. Raises ValueError for y
+    outside (0, 1]."""
+    if not (0.0 < y <= 1.0):
+        raise ValueError(f"proportion of maximum must lie in (0, 1], got {y!r}")
+    peak = mode(params)
+    if y == 1.0:
+        return peak, peak, 0.0
+    if params.a == 1.0:
+        return 0.0, -params.b * math.log(y), math.inf
+    return lambertw._cut(math.log(y) / (params.a - 1.0), peak)
+
+
 def fwym(params: ShapeScale, y: float) -> WidthResult:
     """Full width of the gamma density at proportion y of its maximum.
 
@@ -192,20 +203,12 @@ def fwym(params: ShapeScale, y: float) -> WidthResult:
     zero-width result at the mode. Raises ValueError when a crossing or
     the width overflows double precision.
     """
-    _check_proportion(y)
     a, b = params.a, params.b
-    peak = mode(params)
-    if y == 1.0:
-        x_low, x_high, width = peak, peak, 0.0
-    elif a == 1.0:
-        x_low, x_high = 0.0, -b * math.log(y)
-        width = x_high
-    else:
-        x_low, x_high, diff = lambertw._cut(math.log(y) / (a - 1.0), peak)
-        width = ((a - 1.0) * diff) * b
+    x_low, x_high, diff = _crossings(params, y)
+    width = x_high if a == 1.0 else ((a - 1.0) * diff) * b
     if not (math.isfinite(x_high) and math.isfinite(width)):
         raise ValueError(f"fwym of {params!r} at y={y!r} overflows double precision")
-    return WidthResult(x_low=x_low, x_high=x_high, width=width, mode=peak, y=y)
+    return WidthResult(x_low=x_low, x_high=x_high, width=width, mode=mode(params), y=y)
 
 
 def fwhm(params: ShapeScale) -> WidthResult:
@@ -222,13 +225,7 @@ def fwym_shifted(spec: GammaShapeSpec, y: float) -> WidthResult:
     """
     base = fwym(spec.params, y)
     s = spec.s
-    return WidthResult(
-        x_low=base.x_low - s,
-        x_high=base.x_high - s,
-        width=base.width,
-        mode=base.mode - s,
-        y=y,
-    )
+    return replace(base, x_low=base.x_low - s, x_high=base.x_high - s, mode=base.mode - s)
 
 
 def gaussian_fwhm_approx(params: ShapeScale) -> float:
@@ -262,16 +259,9 @@ def octave_bandwidth(params: ShapeScale, y: float) -> OctaveResult:
     the scale. y = 1 gives both crossings at the mode and 0 octaves.
     Raises ValueError when the high crossing overflows.
     """
-    _check_proportion(y)
-    a = params.a
-    if a <= 1.0:
+    low, high, diff = _crossings(params, y)
+    if params.a <= 1.0:
         raise ValueError("octave bandwidth needs a > 1; the low crossing is 0 at a = 1")
-    peak = mode(params)
-    if y == 1.0:
-        high, low, octaves = peak, peak, 0.0
-    else:
-        low, high, diff = lambertw._cut(math.log(y) / (a - 1.0), peak)
-        octaves = diff / _LN2
     if not math.isfinite(high):
         raise ValueError(f"high crossing of {params!r} at y={y!r} overflows double precision")
-    return OctaveResult(high=high, low=low, octaves=octaves)
+    return OctaveResult(high=high, low=low, octaves=diff / _LN2)

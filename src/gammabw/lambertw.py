@@ -170,11 +170,13 @@ def _cut(r: float, scale: float) -> tuple[float, float, float]:
         lo, hi = _offset_series(p), _offset_series(-p)
         return scale - scale * lo, scale - scale * hi, lo - hi
     m = r - 1.0
-    w_hi = wm1_from_log(m)
-    if m <= _LOG_FORM_CUT and scale > 0.0:
+    if m <= _LOG_FORM_CUT:
+        w_hi = wm1_from_log(m)
         # W0(z) = z to double precision; exp(m) alone may underflow
-        return math.exp(m + math.log(scale)), -scale * w_hi, -w_hi
-    w_lo = w0(-math.exp(m))
+        x_low = math.exp(m + math.log(scale)) if scale > 0.0 else 0.0
+        return x_low, -scale * w_hi, -w_hi
+    z = -math.exp(m)
+    w_lo, w_hi = w0(z), wm1(z)
     # + 0.0 normalizes the -0.0 low crossing of a mode that underflows to 0
     return -scale * w_lo + 0.0, -scale * w_hi, w_lo - w_hi
 

@@ -19,8 +19,6 @@ __all__ = ["BracketError", "oracle_lambert_w", "oracle_crossings", "oracle_media
 
 _INV_E = 1.0 / math.e
 
-_MAX_DOUBLINGS = 10**6
-
 
 class BracketError(RuntimeError):
     """No sign change found while expanding a search bracket."""
@@ -71,7 +69,8 @@ def oracle_crossings(spec: GammaShapeSpec, y: float) -> tuple[float, float]:
     The level equation is bisected in log form, which is monotone-equivalent
     and does not overflow for large shape parameters. Left crossing is
     bracketed by [-s, peak]; the right bracket doubles outward from the
-    peak until the shape falls below the level.
+    peak until the shape falls below the level; BracketError if it
+    overflows first.
     """
     a, b, s = spec.params.a, spec.params.b, spec.s
     if a <= 1.0:
@@ -96,13 +95,11 @@ def oracle_crossings(spec: GammaShapeSpec, y: float) -> tuple[float, float]:
     left = _bisect(level_diff, -s, m - s, atol)
     step = b
     hi = m - s + step
-    for _ in range(_MAX_DOUBLINGS):
-        if level_diff(hi) < 0.0:
-            break
+    while not level_diff(hi) < 0.0:
+        if not math.isfinite(hi):
+            raise BracketError(f"no upper crossing found for y={y!r}, spec={spec!r}")
         step *= 2.0
         hi = m - s + step
-    else:
-        raise BracketError(f"no upper crossing found for y={y!r}, spec={spec!r}")
     right = _bisect(level_diff, m - s, hi, atol)
     return left, right
 

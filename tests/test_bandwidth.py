@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +58,9 @@ NEAR_PEAK_CUTS = (
 # 50-digit mpmath low crossing of ShapeScale(1.5, 1e300) at y = 1e-300,
 # where z = -exp(r - 1) underflows though the crossing does not.
 XLOW_LOG_FORM = 1.8393972058572118e-301
+# The worst Halley-regime width error of 2 776 seeded cuts, 2.3e-13 relative
+# against 50-digit mpmath: (a, y).
+HALLEY_WORST_CUT = (14.21175595577209, 0.13961872590267926)
 # Inputs whose crossings or width overflow double precision: (a, b, y).
 OVERFLOWING = ((2.0, 1e308, 0.5), (1e300, 1e300, 0.5), (1.0, 1e308, 1e-300))
 
@@ -356,6 +360,37 @@ class TestNearPeak:
         res = fwym(ShapeScale(1.0001, 5e-324), 0.5)
         assert res.x_low == res.x_high == res.mode == 0.0
 
+
+def halley_cuts(n, seed):
+    """n seeded (a, y) with a in [1.1, 1e4] and q = -expm1(ln(y)/(a-1)) >= 1e-3
+    above the log form: half log-uniform in q up to 1/2, half log-uniform in
+    -ln(1 - q) from ln 2 to 689."""
+    rng = random.Random(seed)
+    cuts = [HALLEY_WORST_CUT]
+    while len(cuts) < n:
+        a = math.exp(rng.uniform(math.log(1.1), math.log(1e4)))
+        if rng.random() < 0.5:
+            r = math.log1p(-math.exp(rng.uniform(math.log(1e-3), math.log(0.5))))
+        else:
+            r = -math.exp(rng.uniform(math.log(math.log(2.0)), math.log(689.0)))
+        y = math.exp(r * (a - 1.0))
+        if y > 0.0:
+            r = math.log(y) / (a - 1.0)
+            if -math.expm1(r) >= 1e-3 and r - 1.0 > -690.0:
+                cuts.append((a, y))
+    return cuts
+
+
+class TestHalleyRegime:
+    """Cuts between the series seam and the log form against 50-digit mpmath."""
+
+    def test_widths_within_5e13(self):
+        mp = pytest.importorskip("mpmath")
+        for a, y in halley_cuts(300, seed=5):
+            with mp.workdps(50):
+                want = float(mp_cut(mp, a, 1.0, y)[2])
+            got = fwym(ShapeScale(a, 1.0), y).width
+            assert rel_err(got, want) <= 5e-13, f"a={a!r}, y={y!r}"
 
 class TestFwhm:
     def test_equals_fwym_at_half(self):

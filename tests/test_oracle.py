@@ -1,11 +1,13 @@
 import math
+import types
 
 import pytest
 
+from gammabw import oracle
 from gammabw.bandwidth import GammaShapeSpec, ShapeScale, fwym
 from gammabw.gamma2 import median_a2
 from gammabw.lambertw import Branch
-from gammabw.oracle import oracle_crossings, oracle_lambert_w, oracle_median_a2
+from gammabw.oracle import BracketError, oracle_crossings, oracle_lambert_w, oracle_median_a2
 
 INV_E = 1.0 / math.e
 
@@ -101,6 +103,19 @@ class TestOracleCrossings:
             lo, hi = oracle_crossings(GammaShapeSpec(ShapeScale(a, b)), y)
             width = fwym(ShapeScale(a, b), y).width
             assert rel_err(hi - lo, width) < 1e-9
+
+    def test_overflowing_bracket_raises_at_once(self, monkeypatch):
+        # m + b overflows, so the level is NaN at the first upper bracket;
+        # each level evaluation takes one log, and doubling from the
+        # smallest scale reaches overflow in about 2 100 steps
+        logs = []
+        counting = types.SimpleNamespace(**vars(math))
+        counting.log = lambda x: logs.append(x) or math.log(x)
+        counting.log1p = lambda x: logs.append(x) or math.log1p(x)
+        monkeypatch.setattr(oracle, "math", counting)
+        with pytest.raises(BracketError):
+            oracle_crossings(GammaShapeSpec(ShapeScale(2.0, 1e308)), 0.5)
+        assert len(logs) <= 2100
 
 
 class TestOracleMedian:
