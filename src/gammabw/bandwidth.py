@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 from . import lambertw
 
@@ -27,6 +28,7 @@ __all__ = [
     "WidthResult",
     "OctaveResult",
     "gamma_pdf",
+    "gamma_pdf_values",
     "gamma_shaped",
     "mode",
     "inverse_pdf",
@@ -124,14 +126,60 @@ def mode(params: ShapeScale) -> float:
     return (params.a - 1.0) * params.b
 
 
+def _log_normaliser(params: ShapeScale) -> Optional[tuple[float, float]]:
+    """lgamma(a) and a*ln(b), the two terms of the log of the gamma
+    density's normaliser; None when either overflows double precision
+    (lgamma does from a ~ 2.6e305)."""
+    a = params.a
+    try:
+        lgamma_a = math.lgamma(a)
+    except OverflowError:
+        return None
+    a_log_b = a * math.log(params.b)
+    return (lgamma_a, a_log_b) if math.isfinite(a_log_b) else None
+
+
+def _density(x: float, a1: float, b: float, lgamma_a: float, a_log_b: float) -> float:
+    """Gamma density at x > 0 from its hoisted constants, a1 = a - 1."""
+    try:
+        return math.exp(a1 * math.log(x) - x / b - lgamma_a - a_log_b)
+    except OverflowError:
+        raise ValueError(f"gamma density at x={x!r} overflows double precision") from None
+
+
 def gamma_pdf(x: float, params: ShapeScale) -> float:
-    """Gamma probability density at x >= 0, evaluated in log space."""
+    """Gamma probability density at x >= 0, evaluated in log space.
+
+    Raises ValueError for a negative or nonfinite x, and for a positive x
+    when the normaliser Gamma(a) * b**a or the density itself overflows
+    double precision.
+    """
     if not (math.isfinite(x) and x >= 0.0):
         raise ValueError(f"gamma_pdf needs finite x >= 0, got {x!r}")
     a, b = params.a, params.b
     if x == 0.0:
         return 1.0 / b if a == 1.0 else 0.0
-    return math.exp((a - 1.0) * math.log(x) - x / b - math.lgamma(a) - a * math.log(b))
+    norm = _log_normaliser(params)
+    if norm is None:
+        raise ValueError(
+            f"normaliser of the gamma density of {params!r} overflows double precision"
+        )
+    lgamma_a, a_log_b = norm
+    return _density(x, a - 1.0, b, lgamma_a, a_log_b)
+
+
+def gamma_pdf_values(xs: Sequence[float], params: ShapeScale) -> list[float]:
+    """[gamma_pdf(x, params) for x in xs], bit for bit and with the same
+    ValueError, but with lgamma(a) and a*ln(b) computed once for the grid."""
+    norm = _log_normaliser(params)
+    # min() and sum() screen the grid in C; a negative, NaN or infinite x,
+    # or an overflowing normaliser, sends it through gamma_pdf point by point.
+    if norm is None or not (min(xs, default=0.0) >= 0.0 and math.isfinite(sum(xs))):
+        return [gamma_pdf(x, params) for x in xs]
+    a1, b = params.a - 1.0, params.b
+    lgamma_a, a_log_b = norm
+    origin = 1.0 / b if params.a == 1.0 else 0.0
+    return [_density(x, a1, b, lgamma_a, a_log_b) if x else origin for x in xs]
 
 
 def gamma_shaped(x: float, spec: GammaShapeSpec) -> float:

@@ -13,6 +13,7 @@ from gammabw.bandwidth import (
     fwym,
     fwym_shifted,
     gamma_pdf,
+    gamma_pdf_values,
     gamma_shaped,
     gaussian_fwhm_approx,
     inverse_pdf,
@@ -135,6 +136,92 @@ class TestGammaPdf:
         hi = mode(params) + 60.0 * b
         total = mp.quad(lambda x: gamma_pdf(float(x), params), [0.0, hi])
         assert abs(float(total) - 1.0) < 1e-8
+
+
+    @pytest.mark.parametrize("params", [ShapeScale(1e306, 1.0), ShapeScale(2.5e305, 5e-324)])
+    def test_overflowing_normaliser_raises(self, params):
+        # lgamma(1e306), and a*ln(b) at b = 5e-324, overflow double precision
+        with pytest.raises(ValueError, match="normaliser"):
+            gamma_pdf(1.0, params)
+        with pytest.raises(ValueError, match="normaliser"):
+            gamma_pdf_values([0.0, 1.0], params)
+        assert gamma_pdf(0.0, params) == 0.0
+        assert gamma_pdf_values([0.0, -0.0], params) == [0.0, 0.0]
+
+    def test_overflowing_normaliser_in_inverse_pdf(self):
+        with pytest.raises(ValueError, match="normaliser"):
+            inverse_pdf(1e-10, ShapeScale(1e306, 1.0), Branch.PRINCIPAL)
+
+    def test_overflowing_density_raises(self):
+        params = ShapeScale(1.0, 5e-324)
+        with pytest.raises(ValueError, match="overflows"):
+            gamma_pdf(1e-323, params)
+        with pytest.raises(ValueError, match="overflows"):
+            gamma_pdf_values([0.0, 1e-323], params)
+
+
+def reference_pdf(x, params):
+    """The density one point at a time, taking lgamma(a) and a*ln(b) anew."""
+    if not (math.isfinite(x) and x >= 0.0):
+        raise ValueError(f"gamma_pdf needs finite x >= 0, got {x!r}")
+    a, b = params.a, params.b
+    if x == 0.0:
+        return 1.0 / b if a == 1.0 else 0.0
+    return math.exp((a - 1.0) * math.log(x) - x / b - math.lgamma(a) - a * math.log(b))
+
+
+def seeded_density_grids(seed):
+    """(params, xs) over a = 1 to 1e6 and b = 1e-300 to 1e300, each grid
+    from x = 0 past the far tail, evenly spaced and at random."""
+    rng = random.Random(seed)
+    shapes = [1.0, 1.0 + 2.0**-40, 1.5, 2.0, 37.5, 1e3, 1e6]
+    shapes += [math.exp(rng.uniform(0.0, math.log(1e6))) for _ in range(6)]
+    scales = [1e-300, 1e-30, 1.0, 1e30, 1e300]
+    scales += [math.exp(rng.uniform(math.log(1e-300), math.log(1e300))) for _ in range(6)]
+    for a in shapes:
+        for b in scales:
+            params = ShapeScale(a, b)
+            span = mode(params) + 40.0 * b * math.sqrt(a)
+            xs = [span * (i / 16) for i in range(17)]
+            xs += [span * rng.random() for _ in range(24)]
+            xs += [b * 10.0 ** rng.uniform(-12.0, 0.0) for _ in range(8)]
+            yield params, xs
+
+
+class TestGammaPdfValues:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bit_identical_to_pointwise(self, seed):
+        for params, xs in seeded_density_grids(seed):
+            got = [v.hex() for v in gamma_pdf_values(xs, params)]
+            assert got == [gamma_pdf(x, params).hex() for x in xs]
+            assert got == [reference_pdf(x, params).hex() for x in xs]
+
+    def test_origin_and_short_grids(self):
+        assert gamma_pdf_values([], ShapeScale(2.0, 1.0)) == []
+        assert gamma_pdf_values((0.0, -0.0), ShapeScale(1.0, 4.0)) == [0.25, 0.25]
+        assert gamma_pdf_values([0.0], ShapeScale(3.0, 2.0)) == [0.0]
+        assert gamma_pdf_values((4.0,), ShapeScale(3.0, 2.0)) == [gamma_pdf(4.0, ShapeScale(3.0, 2.0))]
+
+    def test_grid_whose_sum_overflows(self):
+        params = ShapeScale(1e6, 1e300)
+        xs = [0.0, 1e306, 1.7e308, 1.7e308]
+        assert gamma_pdf_values(xs, params) == [reference_pdf(x, params) for x in xs]
+
+    @pytest.mark.parametrize("bad", [-0.1, -math.inf, math.nan, math.inf, -5e-324])
+    @pytest.mark.parametrize("at", [0, 7, 16])
+    def test_rejects_like_gamma_pdf(self, bad, at):
+        params = ShapeScale(3.0, 2.0)
+        xs = [0.5 * i for i in range(17)]
+        xs[at] = bad
+        with pytest.raises(ValueError) as want:
+            gamma_pdf(bad, params)
+        with pytest.raises(ValueError) as got:
+            gamma_pdf_values(xs, params)
+        assert str(got.value) == str(want.value)
+
+    def test_reports_the_first_rejected_x(self):
+        with pytest.raises(ValueError, match=r"got -2\.0"):
+            gamma_pdf_values([1.0, -2.0, math.nan, -3.0], ShapeScale(2.0, 1.0))
 
 
 class TestGammaShaped:

@@ -107,11 +107,14 @@ class TestFwhmCommand:
             ["fwhm", "--a", "1e300", "--b", "1e300"],
             ["fwhm", "--a", "1", "--b", "1e308", "--y", "1e-300"],
             ["octave", "--a", "2", "--b", "1e308"],
+            ["curve", "--a", "1e306", "--b", "1", "--n", "2"],
+            ["curve", "--a", "1", "--b", "5e-324", "--n", "3"],
         ],
     )
     def test_overflow_exits_2(self, argv, capsys):
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
         assert "overflow" in captured.err
         assert captured.out == ""
 
@@ -230,3 +233,75 @@ class TestCompareCommand:
     def test_invalid_sweeps_exit_2(self, argv, capsys):
         assert cli.main(argv) == 2
         capsys.readouterr()
+
+
+def reference_table(obj, names, annotations, fmt):
+    """csv or plain text of a table, one value at a time with repr and
+    format(v, ".16e"), from the columns and annotations of its json form."""
+    rows = list(zip(*(obj[name] for name in names)))
+    if fmt == "csv":
+        lines = [",".join(names)]
+        lines += [",".join(format(v, ".16e") for v in row) for row in rows]
+        lines += [f"# {name}={format(obj[name], '.16e')}" for name in annotations]
+    else:
+        lines = [repr(v) for row in rows for v in row]
+        lines += [repr(obj[name]) for name in annotations]
+    return "".join(line + "\n" for line in lines)
+
+
+TABLES = {
+    "curve": (
+        ["curve", "--a", "2.75", "--b", "0.6", "--n"],
+        ["x", "pdf"],
+        ["fwhm_width", "fwhm_x_low", "fwhm_x_high", "fwhm_mode"],
+    ),
+    "compare": (
+        ["compare", "--a-min", "1.001", "--a-max", "2e5", "--points"],
+        ["a", "fwhm", "gaussian_fwhm", "proportional_error"],
+        [],
+    ),
+}
+BLOCK = cli._BLOCK_ROWS
+
+
+class TestTableBlocks:
+    @pytest.mark.parametrize("rows", [2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    @pytest.mark.parametrize("command", sorted(TABLES))
+    def test_bytes_match_one_value_at_a_time(self, command, rows, capsys):
+        prefix, names, annotations = TABLES[command]
+        argv = prefix + [str(rows)]
+        assert cli.main(argv + ["--format", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert len(obj[names[0]]) == rows
+        for fmt in ("csv", "plain"):
+            assert cli.main(argv + ["--format", fmt]) == 0
+            assert capsys.readouterr().out == reference_table(obj, names, annotations, fmt)
+
+
+class TestParserReuse:
+    def test_parser_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["fwhm", "--a", "2"],
+            ["curve", "--a", "3", "--b", "2", "--n", "x"],
+            ["octave", "--a", "2", "--b", "1", "--format", "xml"],
+            ["nosuch"],
+        ],
+    )
+    def test_rejected_argv_leaves_later_calls_intact(self, bad, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(bad)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert cli.main(["fwhm", "--a", "2", "--b", "1"]) == 0
+        assert capsys.readouterr().out.encode() == (GOLDEN_DIR / "fwhm_a2_b1.plain").read_bytes()
+
+    def test_subcommands_in_sequence_match_fresh_processes(self, capsys):
+        # each golden file is the stdout of a fresh process
+        for invocations in (GOLDEN_INVOCATIONS, GOLDEN_INVOCATIONS[::-1]):
+            for name, argv in invocations:
+                assert cli.main(argv) == 0
+                assert capsys.readouterr().out.encode() == (GOLDEN_DIR / name).read_bytes(), name
