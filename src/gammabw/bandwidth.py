@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import lambertw
 
@@ -48,6 +48,11 @@ _GAUSS_FWHM_UNIT_SIGMA = 2.0 * math.sqrt(2.0 * _LN2)
 # How far a requested density level may exceed the computed maximum before
 # it is rejected; callers often pass y*p_max recomputed with rounding.
 _PMAX_SLACK = 1e-12
+
+
+def _overflow_error(what: str) -> ValueError:
+    """The error for a result that does not fit in a double."""
+    return ValueError(f"{what} overflows double precision")
 
 
 @dataclass(frozen=True)
@@ -100,6 +105,8 @@ class WidthResult:
     y: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.x_high) and math.isfinite(self.width)):
+            raise _overflow_error(repr(self))
         if not (self.x_low <= self.mode <= self.x_high):
             raise ValueError("crossings must straddle the mode")
         if not self.width >= 0.0:
@@ -115,6 +122,8 @@ class OctaveResult:
     octaves: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.high):
+            raise _overflow_error(repr(self))
         if not (self.high >= self.low >= 0.0):
             raise ValueError("crossings must satisfy high >= low >= 0")
         if not self.octaves >= 0.0:
@@ -122,21 +131,27 @@ class OctaveResult:
 
 
 def mode(params: ShapeScale) -> float:
-    """Location of the density maximum, (a-1)*b; 0 for the exponential case."""
-    return (params.a - 1.0) * params.b
+    """Location of the density maximum, (a-1)*b; 0 for the exponential case.
+    Raises ValueError when it overflows double precision."""
+    m = (params.a - 1.0) * params.b
+    if not math.isfinite(m):
+        raise _overflow_error(f"mode of {params!r}")
+    return m
 
 
-def _log_normaliser(params: ShapeScale) -> Optional[tuple[float, float]]:
+def _log_normaliser(params: ShapeScale) -> tuple[float, float]:
     """lgamma(a) and a*ln(b), the two terms of the log of the gamma
-    density's normaliser; None when either overflows double precision
-    (lgamma does from a ~ 2.6e305)."""
+    density's normaliser. Raises ValueError when either overflows double
+    precision (lgamma does from a ~ 2.6e305)."""
     a = params.a
     try:
         lgamma_a = math.lgamma(a)
     except OverflowError:
-        return None
+        lgamma_a = math.inf
     a_log_b = a * math.log(params.b)
-    return (lgamma_a, a_log_b) if math.isfinite(a_log_b) else None
+    if not (math.isfinite(lgamma_a) and math.isfinite(a_log_b)):
+        raise _overflow_error(f"normaliser of the gamma density of {params!r}")
+    return lgamma_a, a_log_b
 
 
 def _density(x: float, a1: float, b: float, lgamma_a: float, a_log_b: float) -> float:
@@ -144,53 +159,58 @@ def _density(x: float, a1: float, b: float, lgamma_a: float, a_log_b: float) -> 
     try:
         return math.exp(a1 * math.log(x) - x / b - lgamma_a - a_log_b)
     except OverflowError:
-        raise ValueError(f"gamma density at x={x!r} overflows double precision") from None
+        raise _overflow_error(f"gamma density at x={x!r}") from None
 
 
 def gamma_pdf(x: float, params: ShapeScale) -> float:
     """Gamma probability density at x >= 0, evaluated in log space.
 
-    Raises ValueError for a negative or nonfinite x, and for a positive x
-    when the normaliser Gamma(a) * b**a or the density itself overflows
-    double precision.
+    Raises ValueError for a negative or nonfinite x, for a positive x when
+    the normaliser Gamma(a) * b**a or the density itself overflows double
+    precision, and at x = 0 when 1/b does (a = 1, b below 1/DBL_MAX).
     """
     if not (math.isfinite(x) and x >= 0.0):
         raise ValueError(f"gamma_pdf needs finite x >= 0, got {x!r}")
     a, b = params.a, params.b
     if x == 0.0:
-        return 1.0 / b if a == 1.0 else 0.0
-    norm = _log_normaliser(params)
-    if norm is None:
-        raise ValueError(
-            f"normaliser of the gamma density of {params!r} overflows double precision"
-        )
-    lgamma_a, a_log_b = norm
+        origin = 1.0 / b if a == 1.0 else 0.0
+        if not math.isfinite(origin):
+            raise _overflow_error(f"gamma density at x={x!r}")
+        return origin
+    lgamma_a, a_log_b = _log_normaliser(params)
     return _density(x, a - 1.0, b, lgamma_a, a_log_b)
 
 
 def gamma_pdf_values(xs: Sequence[float], params: ShapeScale) -> list[float]:
     """[gamma_pdf(x, params) for x in xs], bit for bit and with the same
     ValueError, but with lgamma(a) and a*ln(b) computed once for the grid."""
-    norm = _log_normaliser(params)
-    # min() and sum() screen the grid in C; a negative, NaN or infinite x,
-    # or an overflowing normaliser, sends it through gamma_pdf point by point.
-    if norm is None or not (min(xs, default=0.0) >= 0.0 and math.isfinite(sum(xs))):
+    try:
+        lgamma_a, a_log_b = _log_normaliser(params)
+    except ValueError:
         return [gamma_pdf(x, params) for x in xs]
     a1, b = params.a - 1.0, params.b
-    lgamma_a, a_log_b = norm
     origin = 1.0 / b if params.a == 1.0 else 0.0
+    # min() and sum() screen the grid in C; a negative, NaN or infinite x,
+    # or an infinite origin, sends it through gamma_pdf point by point.
+    if not (math.isfinite(origin) and min(xs, default=0.0) >= 0.0 and math.isfinite(sum(xs))):
+        return [gamma_pdf(x, params) for x in xs]
     return [_density(x, a1, b, lgamma_a, a_log_b) if x else origin for x in xs]
 
 
 def gamma_shaped(x: float, spec: GammaShapeSpec) -> float:
-    """Gamma-shaped function K * (x+s)**(a-1) * exp(-(x+s)/b) for x+s >= 0."""
+    """Gamma-shaped function K * (x+s)**(a-1) * exp(-(x+s)/b) for x+s >= 0.
+    Raises ValueError when the value overflows double precision."""
     xp = x + spec.s
     if not (math.isfinite(xp) and xp >= 0.0):
         raise ValueError(f"gamma_shaped needs x + s >= 0, got x+s={xp!r}")
     a, b = spec.params.a, spec.params.b
     if xp == 0.0:
         return spec.K if a == 1.0 else 0.0
-    return spec.K * math.exp((a - 1.0) * math.log(xp) - xp / b)
+    # zero normaliser terms give the unnormalised shape (x - 0.0 is exact)
+    value = spec.K * _density(xp, a - 1.0, b, 0.0, 0.0)
+    if not math.isfinite(value):
+        raise _overflow_error(f"gamma-shaped function of {spec!r} at x={x!r}")
+    return value
 
 
 def inverse_pdf(p: float, params: ShapeScale, branch: Branch) -> float:
@@ -201,7 +221,8 @@ def inverse_pdf(p: float, params: ShapeScale, branch: Branch) -> float:
     below the mode, the secondary branch the one at or above it. Needs
     a > 1 (at a = 1 the density is one-to-one) and 0 < p <= p_max, where
     p_max is the density value at the mode; p may exceed p_max by at most
-    1e-12 relative, which is clamped to the mode.
+    1e-12 relative, which is clamped to the mode. Raises ValueError when
+    the abscissa, the mode or p_max overflows double precision.
     """
     if not isinstance(branch, Branch):
         raise TypeError(f"branch must be a Branch member, got {branch!r}")
@@ -211,18 +232,23 @@ def inverse_pdf(p: float, params: ShapeScale, branch: Branch) -> float:
     if not (math.isfinite(p) and p > 0.0):
         raise ValueError(f"density level must be positive, got {p!r}")
     m = mode(params)
-    p_max = gamma_pdf(m, params)
+    lgamma_a, a_log_b = _log_normaliser(params)
+    # m is 0 only where (a-1)*b underflows
+    p_max = _density(m, a - 1.0, b, lgamma_a, a_log_b) if m else 0.0
     if p > p_max * (1.0 + _PMAX_SLACK):
         raise ValueError(
             f"density level {p!r} exceeds the maximum {p_max!r} of the density"
         )
     # Argument of W, assembled in log space so that huge a and tiny p
     # neither overflow nor lose the lead digits.
-    t = (math.log(p) + math.lgamma(a) + a * math.log(b)) / (a - 1.0) - math.log(m)
+    t = (math.log(p) + lgamma_a + a_log_b) / (a - 1.0) - math.log(m)
     if t > -1.0:
         t = -1.0  # a level at the maximum, up to rounding: the branch point
     w = w0(-math.exp(t)) if branch is Branch.PRINCIPAL else wm1_from_log(t)
-    return -m * w + 0.0  # + 0.0 normalizes the -0.0 arising at tiny levels
+    x = -m * w + 0.0  # + 0.0 normalizes the -0.0 arising at tiny levels
+    if not math.isfinite(x):
+        raise _overflow_error(f"abscissa of the density level {p!r} of {params!r}")
+    return x
 
 
 def _crossings(params: ShapeScale, y: float) -> tuple[float, float, float]:
@@ -254,8 +280,6 @@ def fwym(params: ShapeScale, y: float) -> WidthResult:
     a, b = params.a, params.b
     x_low, x_high, diff = _crossings(params, y)
     width = x_high if a == 1.0 else ((a - 1.0) * diff) * b
-    if not (math.isfinite(x_high) and math.isfinite(width)):
-        raise ValueError(f"fwym of {params!r} at y={y!r} overflows double precision")
     return WidthResult(x_low=x_low, x_high=x_high, width=width, mode=mode(params), y=y)
 
 
@@ -281,9 +305,13 @@ def gaussian_fwhm_approx(params: ShapeScale) -> float:
 
     A gamma variate with integer shape is a sum of a independent
     exponentials of mean b, so for large a it is approximately normal
-    with variance a*b**2; this is the FWHM of that normal curve.
+    with variance a*b**2; this is the FWHM of that normal curve. Raises
+    ValueError when it overflows double precision.
     """
-    return _GAUSS_FWHM_UNIT_SIGMA * params.b * math.sqrt(params.a)
+    width = _GAUSS_FWHM_UNIT_SIGMA * params.b * math.sqrt(params.a)
+    if not math.isfinite(width):
+        raise _overflow_error(f"normal-curve FWHM of {params!r}")
+    return width
 
 
 def approx_proportional_error(params: ShapeScale) -> float:
@@ -310,6 +338,4 @@ def octave_bandwidth(params: ShapeScale, y: float) -> OctaveResult:
     low, high, diff = _crossings(params, y)
     if params.a <= 1.0:
         raise ValueError("octave bandwidth needs a > 1; the low crossing is 0 at a = 1")
-    if not math.isfinite(high):
-        raise ValueError(f"high crossing of {params!r} at y={y!r} overflows double precision")
     return OctaveResult(high=high, low=low, octaves=diff / _LN2)

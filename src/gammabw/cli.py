@@ -53,20 +53,11 @@ _VERIFY_REL_TOL = 1e-8
 _BLOCK_ROWS = 1024
 
 
-def _sci(v: float) -> str:
-    return format(v, ".16e")
-
-
 def _emit_record(fields: list[tuple[str, float]], fmt: str) -> None:
-    out = sys.stdout
     if fmt == "json":
-        out.write(json.dumps(dict(fields)) + "\n")
-    elif fmt == "csv":
-        out.write(",".join(name for name, _ in fields) + "\n")
-        out.write(",".join(_sci(value) for _, value in fields) + "\n")
+        sys.stdout.write(json.dumps(dict(fields)) + "\n")
     else:
-        for _, value in fields:
-            out.write(repr(value) + "\n")
+        _emit_table([(name, [value]) for name, value in fields], [], fmt)
 
 
 def _emit_table(
@@ -95,7 +86,7 @@ def _emit_table(
             flat[j::k] = values[start:stop]
         out.write(row * (stop - start) % tuple(flat))
     for name, value in annotations:
-        out.write(f"# {name}={_sci(value)}\n" if fmt == "csv" else repr(value) + "\n")
+        out.write(f"# {name}={value:.16e}\n" if fmt == "csv" else f"{value!r}\n")
 
 
 def _oracle_width(params: ShapeScale, y: float) -> float:

@@ -30,11 +30,14 @@ def _check_level(p: float) -> None:
 
 
 def cdf_a2(x: float, b: float) -> float:
-    """CDF of Gamma(2, b): 1 - (1 + x/b)*exp(-x/b), for x >= 0."""
+    """CDF of Gamma(2, b): 1 - (1 + x/b)*exp(-x/b), for x >= 0; 1 where
+    x/b overflows."""
     _check_scale(b)
     if not (math.isfinite(x) and x >= 0.0):
         raise ValueError(f"cdf_a2 needs finite x >= 0, got {x!r}")
     t = x / b
+    if t == math.inf:
+        return 1.0  # the limit; t * exp(-t) would be inf * 0 = nan
     # Grouped so the small-x value t**2/2 - ... survives the cancellation
     # between the two O(t) terms.
     return -math.expm1(-t) - t * math.exp(-t)

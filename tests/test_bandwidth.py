@@ -21,6 +21,7 @@ from gammabw.bandwidth import (
     octave_bandwidth,
 )
 from gammabw import bandwidth, lambertw
+from gammabw.gamma2 import cdf_a2
 from gammabw.lambertw import Branch, branch_difference_from_log_ratio
 
 # Frozen oracle values (double bisection cross-checked against a 60-digit
@@ -64,6 +65,41 @@ XLOW_LOG_FORM = 1.8393972058572118e-301
 HALLEY_WORST_CUT = (14.21175595577209, 0.13961872590267926)
 # Inputs whose crossings or width overflow double precision: (a, b, y).
 OVERFLOWING = ((2.0, 1e308, 0.5), (1e300, 1e300, 0.5), (1.0, 1e308, 1e-300))
+# Library calls on the edge of double precision and what they give: a
+# ValueError that names the overflow (None), or the value.
+OVERFLOW_RULE = {
+    "fwym_shifted": (
+        lambda: fwym_shifted(GammaShapeSpec(ShapeScale(2.0, 1e307), s=-1.7e308), 0.5),
+        None,
+    ),
+    "gamma_shaped_density": (
+        lambda: gamma_shaped(999.0, GammaShapeSpec(ShapeScale(1000.0, 1.0))),
+        None,
+    ),
+    "gamma_shaped_amplitude": (
+        lambda: gamma_shaped(500.0, GammaShapeSpec(ShapeScale(6.0, 100.0), K=1e300)),
+        None,
+    ),
+    "gamma_pdf_origin": (lambda: gamma_pdf(0.0, ShapeScale(1.0, 1e-310)), None),
+    "gamma_pdf_values_origin": (
+        lambda: gamma_pdf_values([1e-307, 0.0], ShapeScale(1.0, 1e-310)),
+        None,
+    ),
+    # no 0 on the grid: every value is finite
+    "gamma_pdf_values_no_origin": (
+        lambda: gamma_pdf_values([1e-307], ShapeScale(1.0, 1e-310)),
+        [5.075958897534425e-125],
+    ),
+    "inverse_pdf": (
+        lambda: inverse_pdf(1e-320, ShapeScale(2.0, 1e308), Branch.SECONDARY),
+        None,
+    ),
+    "mode": (lambda: mode(ShapeScale(1e300, 1e300)), None),
+    "gaussian_fwhm_approx": (lambda: gaussian_fwhm_approx(ShapeScale(1e300, 1e300)), None),
+    # x/b overflows; the limit of the cdf is 1
+    "cdf_a2_large_x": (lambda: cdf_a2(1e308, 1e-10), 1.0),
+    "cdf_a2_small_b": (lambda: cdf_a2(1e300, 1e-300), 1.0),
+}
 
 
 def rel_err(got, want):
@@ -316,6 +352,11 @@ class TestInversePdf:
     def test_exponential_shape_rejected(self):
         with pytest.raises(ValueError):
             inverse_pdf(0.1, ShapeScale(1.0, 1.0), Branch.PRINCIPAL)
+
+    def test_level_above_a_mode_that_underflows(self):
+        # (a-1)*b is 0, so the maximum is the density at 0
+        with pytest.raises(ValueError, match="exceeds the maximum 0.0"):
+            inverse_pdf(1e-300, ShapeScale(1.0 + 2.0**-52, 5e-324), Branch.PRINCIPAL)
 
     def test_branch_must_be_enum_member(self):
         with pytest.raises(TypeError):
@@ -635,3 +676,14 @@ class TestWorkCounts:
         counts = count_calls(*BRANCHES)
         fwym(ShapeScale(1.0001, 1.0), 0.5)
         assert counts == {"w0": 0, "wm1": 0}
+
+
+class TestOverflowRule:
+    @pytest.mark.parametrize("case", sorted(OVERFLOW_RULE))
+    def test_raises_or_gives_the_value(self, case):
+        call, want = OVERFLOW_RULE[case]
+        if want is None:
+            with pytest.raises(ValueError, match="overflow"):
+                call()
+        else:
+            assert call() == want

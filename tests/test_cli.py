@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -109,6 +110,7 @@ class TestFwhmCommand:
             ["octave", "--a", "2", "--b", "1e308"],
             ["curve", "--a", "1e306", "--b", "1", "--n", "2"],
             ["curve", "--a", "1", "--b", "5e-324", "--n", "3"],
+            ["curve", "--a", "1", "--b", "1e-310", "--n", "2", "--xmax", "1", "--format", "csv"],
         ],
     )
     def test_overflow_exits_2(self, argv, capsys):
@@ -264,6 +266,24 @@ TABLES = {
 BLOCK = cli._BLOCK_ROWS
 
 
+def seeded_records(seed):
+    """fwhm (with --verify) and octave argv: zeros at a = 1 and y = 1, then
+    seeded shapes, scales and proportions."""
+    rng = random.Random(seed)
+    cases = [
+        ["fwhm", "--a", "1", "--b", "2.5", "--verify"],
+        ["fwhm", "--a", "3", "--b", "2", "--y", "1", "--verify"],
+        ["octave", "--a", "2.5", "--b", "0.3", "--y", "1"],
+    ]
+    for _ in range(4):
+        a = repr(1.0 + math.exp(rng.uniform(-8.0, 12.0)))
+        b = repr(math.exp(rng.uniform(-200.0, 200.0)))
+        y = repr(rng.uniform(0.01, 0.99))
+        cases.append(["fwhm", "--a", a, "--b", b, "--y", y, "--verify"])
+        cases.append(["octave", "--a", a, "--b", b, "--y", y])
+    return cases
+
+
 class TestTableBlocks:
     @pytest.mark.parametrize("rows", [2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
     @pytest.mark.parametrize("command", sorted(TABLES))
@@ -276,6 +296,17 @@ class TestTableBlocks:
         for fmt in ("csv", "plain"):
             assert cli.main(argv + ["--format", fmt]) == 0
             assert capsys.readouterr().out == reference_table(obj, names, annotations, fmt)
+
+    @pytest.mark.parametrize("argv", seeded_records(7), ids=" ".join)
+    def test_record_bytes_match_one_value_at_a_time(self, argv, capsys):
+        # a record is a one-row table with no annotations
+        assert cli.main(argv + ["--format", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        names = list(obj)
+        row = {name: [value] for name, value in obj.items()}
+        for fmt in ("csv", "plain"):
+            assert cli.main(argv + ["--format", fmt]) == 0
+            assert capsys.readouterr().out == reference_table(row, names, [], fmt)
 
 
 class TestParserReuse:
