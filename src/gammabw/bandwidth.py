@@ -37,10 +37,12 @@ __all__ = [
     "fwym_shifted",
     "gaussian_fwhm_approx",
     "approx_proportional_error",
+    "gaussian_comparison",
     "octave_bandwidth",
 ]
 
 _LN2 = math.log(2.0)
+_LN_HALF = math.log(0.5)
 
 # FWHM of a unit-variance normal curve.
 _GAUSS_FWHM_UNIT_SIGMA = 2.0 * math.sqrt(2.0 * _LN2)
@@ -251,20 +253,21 @@ def inverse_pdf(p: float, params: ShapeScale, branch: Branch) -> float:
     return x
 
 
-def _crossings(params: ShapeScale, y: float) -> tuple[float, float, float]:
-    """(x_low, x_high, W0 - Wm1) of the density cut at proportion y of its
-    maximum, at z = -exp(ln(y)/(a-1) - 1); y = 1 is the branch point, where
-    both crossings sit at the mode, and at a = 1 (z = 0) the low crossing
-    is 0 and the branch difference infinite. Raises ValueError for y
-    outside (0, 1]."""
+def _crossings(params: ShapeScale, y: float) -> tuple[float, float, float, float]:
+    """(x_low, x_high, W0 - Wm1, mode) of the density cut at proportion y of
+    its maximum, at z = -exp(ln(y)/(a-1) - 1); y = 1 is the branch point,
+    where both crossings sit at the mode, and at a = 1 (z = 0) the low
+    crossing is 0 and the branch difference infinite. Raises ValueError
+    for y outside (0, 1]."""
     if not (0.0 < y <= 1.0):
         raise ValueError(f"proportion of maximum must lie in (0, 1], got {y!r}")
     peak = mode(params)
     if y == 1.0:
-        return peak, peak, 0.0
+        return peak, peak, 0.0, peak
     if params.a == 1.0:
-        return 0.0, -params.b * math.log(y), math.inf
-    return lambertw._cut(math.log(y) / (params.a - 1.0), peak)
+        return 0.0, -params.b * math.log(y), math.inf, peak
+    x_low, x_high, diff = lambertw._cut(math.log(y) / (params.a - 1.0), peak)
+    return x_low, x_high, diff, peak
 
 
 def fwym(params: ShapeScale, y: float) -> WidthResult:
@@ -278,9 +281,9 @@ def fwym(params: ShapeScale, y: float) -> WidthResult:
     the width overflows double precision.
     """
     a, b = params.a, params.b
-    x_low, x_high, diff = _crossings(params, y)
+    x_low, x_high, diff, peak = _crossings(params, y)
     width = x_high if a == 1.0 else ((a - 1.0) * diff) * b
-    return WidthResult(x_low=x_low, x_high=x_high, width=width, mode=mode(params), y=y)
+    return WidthResult(x_low=x_low, x_high=x_high, width=width, mode=peak, y=y)
 
 
 def fwhm(params: ShapeScale) -> WidthResult:
@@ -321,8 +324,45 @@ def approx_proportional_error(params: ShapeScale) -> float:
     independent of the scale (it cancels in the ratio, so the value is
     computed at unit scale).
     """
-    unit = ShapeScale(params.a, 1.0)
-    return gaussian_fwhm_approx(unit) / fwhm(unit).width - 1.0
+    return gaussian_comparison([params.a])[2][0]
+
+
+def gaussian_comparison(
+    shapes: Sequence[float],
+) -> tuple[list[float], list[float], list[float]]:
+    """Unit-scale FWHM, normal-curve estimate and proportional error of
+    each shape in a sweep, as three lists.
+
+    For each a they equal fwhm(ShapeScale(a, 1)).width,
+    gaussian_fwhm_approx(ShapeScale(a, 1)) and
+    approx_proportional_error(ShapeScale(a, 1)) bit for bit, and a bad
+    shape raises the same ValueError; but each row is one cut of the
+    Lambert kernel, with no ShapeScale or WidthResult built.
+    """
+    # min() and sum() screen the sweep in C; a shape below 1, NaN or
+    # infinite sends it through fwhm shape by shape, which raises the
+    # error of the first bad one (a sum that only overflows raises none).
+    if not (min(shapes, default=1.0) >= 1.0 and math.isfinite(sum(shapes))):
+        for a in shapes:
+            fwhm(ShapeScale(a, 1.0))
+    cut = lambertw._cut
+    widths = []
+    for a in shapes:
+        if a == 1.0:
+            widths.append(-_LN_HALF)  # the exponential case of fwym
+            continue
+        a1 = a - 1.0  # the mode; b = 1 makes every product with b exact
+        x_low, x_high, diff = cut(_LN_HALF / a1, a1)
+        width = a1 * diff
+        # WidthResult's checks: finite x_high and width, crossings that
+        # straddle the mode, a nonnegative width (NaN fails every test).
+        if not (x_low <= a1 <= x_high < math.inf and 0.0 <= width < math.inf):
+            width = fwhm(ShapeScale(a, 1.0)).width  # raises fwhm's error
+        widths.append(width)
+    # finite for every finite a, whose square root is below 1.4e154
+    gaussians = [_GAUSS_FWHM_UNIT_SIGMA * math.sqrt(a) for a in shapes]
+    errors = [g / w - 1.0 for g, w in zip(gaussians, widths)]
+    return widths, gaussians, errors
 
 
 def octave_bandwidth(params: ShapeScale, y: float) -> OctaveResult:
@@ -335,7 +375,7 @@ def octave_bandwidth(params: ShapeScale, y: float) -> OctaveResult:
     the scale. y = 1 gives both crossings at the mode and 0 octaves.
     Raises ValueError when the high crossing overflows.
     """
-    low, high, diff = _crossings(params, y)
+    low, high, diff, _ = _crossings(params, y)
     if params.a <= 1.0:
         raise ValueError("octave bandwidth needs a > 1; the low crossing is 0 at a = 1")
     return OctaveResult(high=high, low=low, octaves=diff / _LN2)

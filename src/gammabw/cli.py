@@ -22,9 +22,8 @@ import math
 import sys
 from typing import Optional, Sequence
 
-# compare inlines approx_proportional_error at unit scale, with one FWHM per
-# row, and curve calls gamma_pdf_values; approx_proportional_error and
-# gamma_pdf stay importable here, where benchmarks/tracing.py wraps them.
+# approx_proportional_error and gamma_pdf are not called here; they stay
+# importable from this module, where benchmarks/tracing.py wraps them.
 from .bandwidth import (  # noqa: F401
     GammaShapeSpec,
     ShapeScale,
@@ -33,7 +32,7 @@ from .bandwidth import (  # noqa: F401
     fwym,
     gamma_pdf,
     gamma_pdf_values,
-    gaussian_fwhm_approx,
+    gaussian_comparison,
     mode,
     octave_bandwidth,
 )
@@ -167,14 +166,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     log_lo, log_hi = math.log(a_min), math.log(a_max)
     shapes = [math.exp(log_lo + (log_hi - log_lo) * (i / (n - 1))) for i in range(n)]
     shapes[0], shapes[-1] = a_min, a_max
-    widths, gaussians, errors = [], [], []
-    for a in shapes:
-        params = ShapeScale(a, 1.0)
-        width = fwhm(params).width
-        gaussian = gaussian_fwhm_approx(params)
-        widths.append(width)
-        gaussians.append(gaussian)
-        errors.append(gaussian / width - 1.0)
+    widths, gaussians, errors = gaussian_comparison(shapes)
     _emit_table(
         [
             ("a", shapes),

@@ -44,14 +44,20 @@ def cdf_a2(x: float, b: float) -> float:
 
 
 def quantile_a2(p: float, b: float) -> float:
-    """Quantile of Gamma(2, b): -b*(1 + Wm1((p-1)/e)), for 0 < p < 1."""
+    """Quantile of Gamma(2, b): -b*(1 + Wm1((p-1)/e)), for 0 < p < 1.
+    Raises ValueError when it overflows double precision."""
     _check_level(p)
     _check_scale(b)
-    return -b * (1.0 + wm1((p - 1.0) / _E))
+    x = -b * (1.0 + wm1((p - 1.0) / _E))
+    if not math.isfinite(x):
+        raise ValueError(f"quantile of Gamma(2, {b!r}) at p={p!r} overflows double precision")
+    return x
 
 
 def median_a2(b: float) -> float:
-    """Median of Gamma(2, b); scales linearly in b and sits in (5/3, 2)*b."""
+    """Median of Gamma(2, b); scales linearly in b and sits in (5/3, 2)*b.
+    Raises ValueError when it overflows double precision (b above about
+    1.07e308)."""
     return quantile_a2(0.5, b)
 
 

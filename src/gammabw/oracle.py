@@ -9,6 +9,7 @@ and by the CLI --verify mode.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 from .bandwidth import GammaShapeSpec
@@ -105,7 +106,14 @@ def oracle_crossings(spec: GammaShapeSpec, y: float) -> tuple[float, float]:
 
 
 def oracle_median_a2(b: float) -> float:
-    """Median of Gamma(2, b) by bisecting the CDF against 1/2."""
+    """Median of Gamma(2, b) by bisecting the CDF against 1/2 on
+    [0, 10*b], capped at the largest double. Raises ValueError when the
+    median lies beyond it, that is, overflows double precision."""
     if not (math.isfinite(b) and b > 0.0):
         raise ValueError(f"scale parameter b must be positive, got {b!r}")
-    return _bisect(lambda x: cdf_a2(x, b) - 0.5, 0.0, 10.0 * b, 1e-13 * b)
+    # Bisect u = x/2, so that the bracket ends never sum past the largest
+    # double; halving is exact, so the steps are those of bisecting x.
+    hi = min(5.0 * b, 0.5 * sys.float_info.max)
+    if cdf_a2(2.0 * hi, b) < 0.5:
+        raise ValueError(f"median of Gamma(2, {b!r}) overflows double precision")
+    return 2.0 * _bisect(lambda u: cdf_a2(2.0 * u, b) - 0.5, 0.0, hi, 0.5e-13 * b)

@@ -15,6 +15,7 @@ from gammabw.bandwidth import (
     gamma_pdf,
     gamma_pdf_values,
     gamma_shaped,
+    gaussian_comparison,
     gaussian_fwhm_approx,
     inverse_pdf,
     mode,
@@ -597,6 +598,77 @@ class TestApproxProportionalError:
     def test_exponential_shape_uses_exact_width(self):
         want = GAUSS_COEF / math.log(2.0) - 1.0
         assert rel_err(approx_proportional_error(ShapeScale(1.0, 2.0)), want) < 1e-14
+
+
+def seeded_shapes(seed):
+    """Shapes in every regime of a unit-scale FWHM cut, z = -exp(ln(1/2)/(a-1) - 1):
+    the log form (a - 1 below about 1e-3), Halley, and the branch-point
+    series (a above about 700), up to 1e300, plus a = 1 and the seams."""
+    rng = random.Random(seed)
+    shapes = [1.0, 1.0 + 1e-7, 1.0 + 2.0**-52, 1.001, 1.0014, 694.0, 700.0, 1e300]
+    shapes += [1.0 + math.exp(rng.uniform(math.log(1e-7), math.log(1.4e-3))) for _ in range(200)]
+    shapes += [math.exp(rng.uniform(math.log(1.0014), math.log(700.0))) for _ in range(200)]
+    shapes += [math.exp(rng.uniform(math.log(700.0), math.log(1e300))) for _ in range(200)]
+    rng.shuffle(shapes)
+    return shapes
+
+
+def per_shape_comparison(a):
+    """The comparison row of one shape from the per-shape calls."""
+    unit = ShapeScale(a, 1.0)
+    width = fwhm(unit).width
+    gaussian = gaussian_fwhm_approx(unit)
+    return width, gaussian, gaussian / width - 1.0
+
+
+class TestGaussianComparison:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bit_identical_to_per_shape_calls(self, seed):
+        shapes = seeded_shapes(seed)
+        got = gaussian_comparison(shapes)
+        want = list(zip(*map(per_shape_comparison, shapes)))
+        for got_column, want_column in zip(got, want):
+            assert [v.hex() for v in got_column] == [v.hex() for v in want_column]
+        assert [e.hex() for e in got[2]] == [
+            approx_proportional_error(ShapeScale(a, 1.0)).hex() for a in shapes
+        ]
+
+    def test_empty_and_exponential_sweeps(self):
+        assert gaussian_comparison([]) == ([], [], [])
+        assert gaussian_comparison((1.0,)) == tuple([v] for v in per_shape_comparison(1.0))
+
+    def test_sweep_whose_sum_overflows(self):
+        shapes = [2.0, 1e308, 1.7e308, 1.7e308]
+        got = gaussian_comparison(shapes)
+        assert got == tuple(map(list, zip(*map(per_shape_comparison, shapes))))
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0 - 2.0**-53, 0.0, -math.inf, math.nan, math.inf])
+    @pytest.mark.parametrize("at", [0, 4, 8])
+    def test_rejects_like_per_shape_calls(self, bad, at):
+        shapes = [1.0 + 3.0**i for i in range(9)]
+        shapes[at] = bad
+        with pytest.raises(ValueError) as want:
+            fwhm(ShapeScale(bad, 1.0))
+        with pytest.raises(ValueError) as got:
+            gaussian_comparison(shapes)
+        assert str(got.value) == str(want.value)
+
+    def test_reports_the_first_rejected_shape(self):
+        with pytest.raises(ValueError, match=r"got 0\.5"):
+            gaussian_comparison([2.0, 0.5, math.nan, -3.0])
+
+    def test_row_failing_a_check_raises_fwhm_error(self, monkeypatch):
+        # a kernel result that breaks WidthResult's checks is re-run
+        # through fwhm, which raises; the rows before it are not affected
+        real_cut = lambertw._cut
+
+        def inf_crossing(r, scale):
+            x_low, _, diff = real_cut(r, scale)
+            return x_low, math.inf, diff
+
+        monkeypatch.setattr(lambertw, "_cut", inf_crossing)
+        with pytest.raises(ValueError, match="overflows double precision"):
+            gaussian_comparison([1.0, 3.0])
 
 
 class TestOctaveBandwidth:

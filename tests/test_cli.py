@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from conftest import GOLDEN_INVOCATIONS
 
-from gammabw import bandwidth, cli
+from gammabw import cli, lambertw
 from gammabw.bandwidth import ShapeScale, approx_proportional_error, fwhm, fwym
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -217,9 +217,10 @@ class TestCompareCommand:
             assert g == coef * math.sqrt(a)
 
     def test_one_fwhm_per_row(self, capsys, count_calls):
-        counts = count_calls((cli, bandwidth), ("fwhm",))
+        # one width evaluation per row: one cut of the Lambert kernel
+        counts = count_calls((lambertw,), ("_cut",))
         assert cli.main(["compare", "--a-min", "1.5", "--a-max", "1e6", "--points", "9", "--format", "json"]) == 0
-        assert counts == {"fwhm": 9}
+        assert counts == {"_cut": 9}
         obj = json.loads(capsys.readouterr().out)
         for a, e in zip(obj["a"], obj["proportional_error"]):
             assert e == approx_proportional_error(ShapeScale(a, 1.0))

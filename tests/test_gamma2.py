@@ -77,6 +77,10 @@ class TestQuantile:
     def test_round_trip_random_levels(self, p):
         assert abs(cdf_a2(quantile_a2(p, 1.7), 1.7) - p) <= 1e-11
 
+    def test_overflow_raises(self):
+        with pytest.raises(ValueError, match="overflows double precision"):
+            quantile_a2(0.9, 1e308)
+
 
 class TestMedian:
     def test_frozen_value(self):
@@ -95,6 +99,14 @@ class TestMedian:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             median_a2(0.0)
+
+    def test_overflow_raises(self):
+        with pytest.raises(ValueError, match="overflows double precision"):
+            median_a2(1.7e308)
+
+    def test_largest_scales_with_a_finite_median(self):
+        for b in (5e307, 1e308, 1.07e308):
+            assert 5.0 / 3.0 < median_a2(b) / b < 2.0
 
 
 class TestTransformIdentity:

@@ -132,3 +132,13 @@ class TestOracleMedian:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             oracle_median_a2(-1.0)
+
+    @pytest.mark.parametrize("b", [5e307, 1e308, 1.07e308])
+    def test_median_near_the_largest_double(self, b):
+        # the bracket 10*b overflows; capped, it still holds the finite median
+        assert abs(oracle_median_a2(b) - median_a2(b)) <= 1e-11 * b
+
+    @pytest.mark.parametrize("b", [1.08e308, 1.7e308])
+    def test_overflowing_median_raises(self, b):
+        with pytest.raises(ValueError, match="overflows double precision"):
+            oracle_median_a2(b)
