@@ -47,6 +47,13 @@ _LN_HALF = math.log(0.5)
 # FWHM of a unit-variance normal curve.
 _GAUSS_FWHM_UNIT_SIGMA = 2.0 * math.sqrt(2.0 * _LN2)
 
+# Above this shape approx_proportional_error comes from _asymptotic_error:
+# gaussian/fwhm - 1 loses digits like 1/a (0.56% off at a = 1e13, 0 from
+# a = 1e16), while the series' truncation falls like 1/a**2. Against
+# 50-digit mpmath the series' worst error is the smaller from a = 5.6e3,
+# and its median from a = 9.5e3 (both about 1.5e-12 relative at 1e4).
+_ASYMPTOTIC_SHAPE = 1e4
+
 # How far a requested density level may exceed the computed maximum before
 # it is rejected; callers often pass y*p_max recomputed with rounding.
 _PMAX_SLACK = 1e-12
@@ -322,9 +329,24 @@ def approx_proportional_error(params: ShapeScale) -> float:
 
     Always positive, shrinking as the shape parameter grows, and exactly
     independent of the scale (it cancels in the ratio, so the value is
-    computed at unit scale).
+    computed at unit scale). Above a = 1e4 it comes from the asymptotic
+    series of the ratio in 1/(a-1), which does not cancel.
     """
     return gaussian_comparison([params.a])[2][0]
+
+
+def _asymptotic_error(a: float) -> float:
+    """gaussian/fwhm - 1 at unit scale for large a, with no cancellation.
+
+    The unit-scale FWHM is (a-1)*(u_high - u_low), where both offsets from
+    the mode solve u - log1p(u) = p**2/2 with p**2 = 2 ln 2/(a-1); the odd
+    part of their series in p gives (u_high - u_low)/2 =
+    p*(1 + p**2/36 + p**4/4320 + O(p**6)). The estimate is
+    2*(a-1)*p*sqrt(a/(a-1)), so the log of their ratio is
+    -log1p(-1/a)/2 - log1p(p**2/36 + p**4/4320).
+    """
+    p2 = 2.0 * _LN2 / (a - 1.0)
+    return math.expm1(-0.5 * math.log1p(-1.0 / a) - math.log1p(p2 * (1.0 / 36.0 + p2 / 4320.0)))
 
 
 def gaussian_comparison(
@@ -337,7 +359,9 @@ def gaussian_comparison(
     gaussian_fwhm_approx(ShapeScale(a, 1)) and
     approx_proportional_error(ShapeScale(a, 1)) bit for bit, and a bad
     shape raises the same ValueError; but each row is one cut of the
-    Lambert kernel, with no ShapeScale or WidthResult built.
+    Lambert kernel, with no ShapeScale or WidthResult built. The error is
+    gaussian/fwhm - 1 up to a = _ASYMPTOTIC_SHAPE and _asymptotic_error(a)
+    above it.
     """
     # min() and sum() screen the sweep in C; a shape below 1, NaN or
     # infinite sends it through fwhm shape by shape, which raises the
@@ -362,6 +386,11 @@ def gaussian_comparison(
     # finite for every finite a, whose square root is below 1.4e154
     gaussians = [_GAUSS_FWHM_UNIT_SIGMA * math.sqrt(a) for a in shapes]
     errors = [g / w - 1.0 for g, w in zip(gaussians, widths)]
+    # max() screens the sweep in C, so one below the cut pays nothing more
+    if max(shapes, default=1.0) > _ASYMPTOTIC_SHAPE:
+        for i, a in enumerate(shapes):
+            if a > _ASYMPTOTIC_SHAPE:
+                errors[i] = _asymptotic_error(a)
     return widths, gaussians, errors
 
 

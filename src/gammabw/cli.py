@@ -95,7 +95,9 @@ def _oracle_width(params: ShapeScale, y: float) -> float:
         # Exponential case: the level equation exp(-x/b) = y is solved
         # algebraically; the bracketing oracle needs an interior maximum.
         return -params.b * math.log(y)
-    lo, hi = oracle_crossings(GammaShapeSpec(params), y)
+    # Shifted by the mode, the crossings are the mode times the two offsets
+    # from it, of opposite signs, so their difference does not cancel.
+    lo, hi = oracle_crossings(GammaShapeSpec(params, s=mode(params)), y)
     return hi - lo
 
 
@@ -206,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verify",
         action="store_true",
-        help="cross-check the width against the bisection oracle",
+        help="cross-check the width against the crossing oracle",
     )
     format_arg(p)
     p.set_defaults(func=_cmd_fwhm)

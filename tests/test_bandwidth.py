@@ -599,6 +599,20 @@ class TestApproxProportionalError:
         want = GAUSS_COEF / math.log(2.0) - 1.0
         assert rel_err(approx_proportional_error(ShapeScale(1.0, 2.0)), want) < 1e-14
 
+    def test_large_shapes_against_mpmath(self):
+        # gaussian/fwhm - 1 would cancel like 1/a: 0 from a = 1e16
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(6)
+        shapes = [10.0**k for k in range(6, 301)]
+        shapes += [10.0 ** rng.uniform(6.0, 300.0) for _ in range(100)]
+        for a in shapes:
+            got = approx_proportional_error(ShapeScale(a, 1.0))
+            # the unit-scale width needs about twice the digits of a
+            with mp.workdps(40 + 2 * int(math.log10(a))):
+                want = 2 * mp.sqrt(2 * mp.log(2) * a) / mp_cut(mp, a, 1.0, 0.5)[2] - 1
+            assert got > 0.0
+            assert rel_err(got, want) <= 1e-12, f"a={a!r}"
+
 
 def seeded_shapes(seed):
     """Shapes in every regime of a unit-scale FWHM cut, z = -exp(ln(1/2)/(a-1) - 1):
@@ -616,9 +630,7 @@ def seeded_shapes(seed):
 def per_shape_comparison(a):
     """The comparison row of one shape from the per-shape calls."""
     unit = ShapeScale(a, 1.0)
-    width = fwhm(unit).width
-    gaussian = gaussian_fwhm_approx(unit)
-    return width, gaussian, gaussian / width - 1.0
+    return fwhm(unit).width, gaussian_fwhm_approx(unit), approx_proportional_error(unit)
 
 
 class TestGaussianComparison:
@@ -629,8 +641,11 @@ class TestGaussianComparison:
         want = list(zip(*map(per_shape_comparison, shapes)))
         for got_column, want_column in zip(got, want):
             assert [v.hex() for v in got_column] == [v.hex() for v in want_column]
-        assert [e.hex() for e in got[2]] == [
-            approx_proportional_error(ShapeScale(a, 1.0)).hex() for a in shapes
+        # up to the asymptotic cut the error is gaussian/fwhm - 1 from the
+        # per-shape calls (TestApproxProportionalError checks it above)
+        cut = bandwidth._ASYMPTOTIC_SHAPE
+        assert [e.hex() for a, e in zip(shapes, got[2]) if a <= cut] == [
+            (g / w - 1.0).hex() for a, w, g, _ in zip(shapes, *want) if a <= cut
         ]
 
     def test_empty_and_exponential_sweeps(self):

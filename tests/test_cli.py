@@ -134,6 +134,21 @@ class TestVerify:
         assert cli.main(["fwhm", "--a", "1", "--b", "2", "--verify"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "a,b,y",
+        [
+            ("3", "2", "0.9999999999"),
+            ("3", "2", "0.9999999999999999"),
+            ("1000", "1", "0.9999999999999999"),
+        ],
+    )
+    def test_near_peak_cuts_pass(self, capsys, a, b, y):
+        # the oracle solves for the offsets from the mode, so it stays exact
+        # where the two crossings merge
+        argv = ["fwhm", "--a", a, "--b", b, "--y", y, "--verify", "--format", "json"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["relative_discrepancy"] <= 1e-15
+
     def test_failure_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_oracle_width", lambda params, y: 999.0)
         assert cli.main(["fwhm", "--a", "2", "--b", "1", "--verify"]) == 3

@@ -1,10 +1,11 @@
 import math
+import random
 import types
 
 import pytest
 
 from gammabw import oracle
-from gammabw.bandwidth import GammaShapeSpec, ShapeScale, fwym
+from gammabw.bandwidth import GammaShapeSpec, ShapeScale, fwym, mode
 from gammabw.gamma2 import median_a2
 from gammabw.lambertw import Branch
 from gammabw.oracle import BracketError, oracle_crossings, oracle_lambert_w, oracle_median_a2
@@ -105,9 +106,9 @@ class TestOracleCrossings:
             assert rel_err(hi - lo, width) < 1e-9
 
     def test_overflowing_bracket_raises_at_once(self, monkeypatch):
-        # m + b overflows, so the level is NaN at the first upper bracket;
-        # each level evaluation takes one log, and doubling from the
-        # smallest scale reaches overflow in about 2 100 steps
+        # the high crossing m + m*u overflows; the offsets do not depend
+        # on b, so their search is as short as at b = 1, and at most one
+        # log is taken per level evaluation
         logs = []
         counting = types.SimpleNamespace(**vars(math))
         counting.log = lambda x: logs.append(x) or math.log(x)
@@ -116,6 +117,108 @@ class TestOracleCrossings:
         with pytest.raises(BracketError):
             oracle_crossings(GammaShapeSpec(ShapeScale(2.0, 1e308)), 0.5)
         assert len(logs) <= 2100
+
+
+def offset_cuts(n, seed):
+    """n seeded (a, b, y): a - 1 log-uniform in [1e-9, 1e6], q = 1 - y**(1/(a-1))
+    log-uniform in [1e-14, 1); the level next below 1 at a spread of shapes;
+    and log-form cuts, where ln(y)/(a-1) - 1 < -690."""
+    rng = random.Random(seed)
+    below_one = math.nextafter(1.0, 0.0)
+    cuts = [(3.0, 2.0, below_one), (1000.0, 1.0, below_one), (1e6, 1.0, below_one)]
+    cuts += [(1.0 + 1e-9, 1.0, below_one), (3.0, 2.0, 0.9999999999)]
+    while len(cuts) < n:
+        a = 1.0 + math.exp(rng.uniform(math.log(1e-9), math.log(1e6)))
+        b = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+        kind = rng.random()
+        if kind < 0.8:
+            q = math.exp(rng.uniform(math.log(1e-14), 0.0))
+            y = math.exp((a - 1.0) * math.log1p(-q))
+        elif kind < 0.9:
+            y = below_one
+        else:
+            a = 1.0 + math.exp(rng.uniform(math.log(1e-9), math.log(1e-3)))
+            y = math.exp(rng.uniform(-745.0, -690.0 * (a - 1.0)))
+        if 0.0 < y < 1.0:
+            cuts.append((a, b, y))
+    return cuts
+
+
+def mp_offsets(mp, a, b, y):
+    """(width, x_low - mode, x_high - mode) of the cut in mpmath at its
+    working precision."""
+    am1 = mp.mpf(a) - 1
+    z = -mp.exp(mp.log(mp.mpf(y)) / am1 - 1)
+    m = am1 * mp.mpf(b)
+    w_lo, w_hi = mp.lambertw(z, 0).real, mp.lambertw(z, -1).real
+    return m * (w_lo - w_hi), -m * (1 + w_lo), -m * (1 + w_hi)
+
+
+def mode_shifted(a, b):
+    params = ShapeScale(a, b)
+    return GammaShapeSpec(params, s=mode(params))
+
+
+class TestOffsetForm:
+    """The crossings in the offset form, shifted by the mode, against mpmath."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_widths_and_offsets_within_1e14(self, seed):
+        mp = pytest.importorskip("mpmath")
+        for a, b, y in offset_cuts(200, seed):
+            lo, hi = oracle_crossings(mode_shifted(a, b), y)
+            with mp.workdps(60):
+                width, d_lo, d_hi = mp_offsets(mp, a, b, y)
+                assert float(abs((hi - lo) - width) / width) <= 1e-14, (a, b, y)
+                assert float(abs((lo - d_lo) / d_lo)) <= 1e-14, (a, b, y)
+                assert float(abs((hi - d_hi) / d_hi)) <= 1e-14, (a, b, y)
+
+    def test_every_offset_is_certified(self, monkeypatch):
+        # the exact level changes sign within _CERT_ULPS ulps of each offset
+        mp = pytest.importorskip("mpmath")
+        found = []
+        solve = oracle._offset
+
+        def recording(a1, log_y, *args):
+            u = solve(a1, log_y, *args)
+            found.append((a1, log_y, u))
+            return u
+
+        monkeypatch.setattr(oracle, "_offset", recording)
+        for a, b, y in offset_cuts(200, seed=3):
+            oracle_crossings(mode_shifted(a, b), y)
+        assert len(found) == 400
+
+        def positive(a1, log_y, v):
+            if v <= -1.0:
+                return False
+            with mp.workdps(80):
+                v = mp.mpf(v)
+                return mp.mpf(a1) * (mp.log1p(v) - v) - mp.mpf(log_y) > 0
+
+        for a1, log_y, u in found:
+            e = oracle._CERT_ULPS * math.ulp(u)
+            assert positive(a1, log_y, u - e) != positive(a1, log_y, u + e), (a1, log_y, u)
+
+    def test_evaluation_budget(self, count_calls):
+        # each evaluation of the level takes one log1p(u) - u
+        cuts = offset_cuts(500, seed=4)
+        counts = count_calls([oracle], ["_log1pmx"])
+        for a, b, y in cuts:
+            oracle_crossings(mode_shifted(a, b), y)
+        # at least one Newton step and the certificate's two per offset
+        assert 6 * len(cuts) <= counts["_log1pmx"] <= 24 * len(cuts)
+
+    @pytest.mark.parametrize("u", [-0.9, -0.25 - 2**-54, -0.25, -1e-3, 0.0, 1e-8, 0.25, 3.0])
+    def test_log1pmx_against_mpmath(self, u):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(80):
+            want = mp.log1p(u) - u
+        got = oracle._log1pmx(u)
+        assert got == want == 0.0 or float(abs((got - want) / want)) <= 8 * 2.0**-53
+
+    def test_log1pmx_at_minus_one(self):
+        assert oracle._log1pmx(-1.0) == oracle._log1pmx(-1.5) == -math.inf
 
 
 class TestOracleMedian:
