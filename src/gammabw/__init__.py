@@ -2,8 +2,10 @@
 
 Closed-form full widths at any proportion of the maximum (FWHM and
 friends) and octave bandwidths for functions shaped like gamma densities,
-built on a self-contained evaluation of the two real Lambert W branches,
-with brute-force bisection oracles for independent validation.
+built on a self-contained evaluation of the two real Lambert W branches.
+Independent oracles validate them: bracketed bisection for Lambert W and
+the Gamma(2, b) median, and a certified Newton solve of the level
+equation in the offset from the peak for the crossings.
 """
 
 from . import bandwidth, gamma2, lambertw, oracle

@@ -13,8 +13,7 @@ approximation to the FWHM together with its overshoot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import lambertw
 
@@ -58,46 +57,94 @@ _ASYMPTOTIC_SHAPE = 1e4
 # it is rejected; callers often pass y*p_max recomputed with rounding.
 _PMAX_SLACK = 1e-12
 
+_setattr = object.__setattr__
+
 
 def _overflow_error(what: str) -> ValueError:
     """The error for a result that does not fit in a double."""
     return ValueError(f"{what} overflows double precision")
 
 
-@dataclass(frozen=True)
-class ShapeScale:
+def _range_error(what: str, value: float, rule: str) -> ValueError:
+    """The error for a parameter outside its range: "must be finite" for
+    an infinite or NaN value, else "must <rule>"."""
+    if not math.isfinite(value):
+        rule = "be finite"
+    return ValueError(f"{what} must {rule}, got {value!r}")
+
+
+class _Value:
+    """Base of the immutable parameter and result objects.
+
+    A subclass names its fields in order in __match_args__, and its
+    __init__ stores them as the instance __dict__ through
+    object.__setattr__. The base gives what a frozen dataclass would:
+    setting or deleting an attribute raises AttributeError, instances of
+    one class compare equal when their field tuples do, the hash is that
+    of the field tuple, and the repr is Class(field=value, ...). There are
+    no __slots__, so pickle and copy restore the instance __dict__.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class ShapeScale(_Value):
     """Shape a and scale b of a gamma density; widths need a >= 1, b > 0."""
 
+    __match_args__ = ("a", "b")
     a: float
     b: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and self.a >= 1.0):
-            raise ValueError(
-                f"shape parameter a must be >= 1 (widths are undefined below"
-                f" that: no interior maximum), got {self.a!r}"
+    def __init__(self, a: float, b: float) -> None:
+        _setattr(self, "__dict__", {"a": a, "b": b})
+        if not (math.isfinite(a) and a >= 1.0):
+            raise _range_error(
+                "shape parameter a",
+                a,
+                "be >= 1 (widths are undefined below that: no interior maximum)",
             )
-        if not (math.isfinite(self.b) and self.b > 0.0):
-            raise ValueError(f"scale parameter b must be positive, got {self.b!r}")
+        if not (math.isfinite(b) and b > 0.0):
+            raise _range_error("scale parameter b", b, "be positive")
 
 
-@dataclass(frozen=True)
-class GammaShapeSpec:
+class GammaShapeSpec(_Value):
     """A gamma-shaped function: parameters plus amplitude K and shift s."""
 
+    __match_args__ = ("params", "K", "s")
     params: ShapeScale
-    K: float = 1.0
-    s: float = 0.0
+    K: float
+    s: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.K) and self.K > 0.0):
-            raise ValueError(f"amplitude K must be positive, got {self.K!r}")
-        if not math.isfinite(self.s):
-            raise ValueError(f"domain shift s must be finite, got {self.s!r}")
+    def __init__(self, params: ShapeScale, K: float = 1.0, s: float = 0.0) -> None:
+        _setattr(self, "__dict__", {"params": params, "K": K, "s": s})
+        if not (math.isfinite(K) and K > 0.0):
+            raise _range_error("amplitude K", K, "be positive")
+        if not math.isfinite(s):
+            raise ValueError(f"domain shift s must be finite, got {s!r}")
 
 
-@dataclass(frozen=True)
-class WidthResult:
+class WidthResult(_Value):
     """Crossing abscissae and width of a peak cut at proportion y of its max.
 
     The width field is computed through the cancellation-free branch
@@ -107,35 +154,42 @@ class WidthResult:
     the mode.
     """
 
+    __match_args__ = ("x_low", "x_high", "width", "mode", "y")
     x_low: float
     x_high: float
     width: float
     mode: float
     y: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x_high) and math.isfinite(self.width)):
+    def __init__(self, x_low: float, x_high: float, width: float, mode: float, y: float) -> None:
+        _setattr(
+            self,
+            "__dict__",
+            {"x_low": x_low, "x_high": x_high, "width": width, "mode": mode, "y": y},
+        )
+        if not (math.isfinite(x_high) and math.isfinite(width)):
             raise _overflow_error(repr(self))
-        if not (self.x_low <= self.mode <= self.x_high):
+        if not (x_low <= mode <= x_high):
             raise ValueError("crossings must straddle the mode")
-        if not self.width >= 0.0:
+        if not width >= 0.0:
             raise ValueError("width must be nonnegative")
 
 
-@dataclass(frozen=True)
-class OctaveResult:
+class OctaveResult(_Value):
     """High/low crossing abscissae and their ratio in log-base-2 octaves."""
 
+    __match_args__ = ("high", "low", "octaves")
     high: float
     low: float
     octaves: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.high):
+    def __init__(self, high: float, low: float, octaves: float) -> None:
+        _setattr(self, "__dict__", {"high": high, "low": low, "octaves": octaves})
+        if not math.isfinite(high):
             raise _overflow_error(repr(self))
-        if not (self.high >= self.low >= 0.0):
+        if not (high >= low >= 0.0):
             raise ValueError("crossings must satisfy high >= low >= 0")
-        if not self.octaves >= 0.0:
+        if not octaves >= 0.0:
             raise ValueError("octave count must be nonnegative")
 
 
@@ -239,7 +293,7 @@ def inverse_pdf(p: float, params: ShapeScale, branch: Branch) -> float:
     if a <= 1.0:
         raise ValueError("inverse_pdf needs a > 1; the density is one-sided at a = 1")
     if not (math.isfinite(p) and p > 0.0):
-        raise ValueError(f"density level must be positive, got {p!r}")
+        raise _range_error("density level", p, "be positive")
     m = mode(params)
     lgamma_a, a_log_b = _log_normaliser(params)
     # m is 0 only where (a-1)*b underflows
@@ -307,7 +361,7 @@ def fwym_shifted(spec: GammaShapeSpec, y: float) -> WidthResult:
     """
     base = fwym(spec.params, y)
     s = spec.s
-    return replace(base, x_low=base.x_low - s, x_high=base.x_high - s, mode=base.mode - s)
+    return WidthResult(base.x_low - s, base.x_high - s, base.width, base.mode - s, y)
 
 
 def gaussian_fwhm_approx(params: ShapeScale) -> float:

@@ -20,7 +20,7 @@ import functools
 import json
 import math
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 # approx_proportional_error and gamma_pdf are not called here; they stay
 # importable from this module, where benchmarks/tracing.py wraps them.
@@ -144,7 +144,11 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     xmax = args.xmax
     if xmax is None:
         xmax = mode(params) + 8.0 * params.b * math.sqrt(params.a)
-    if not (math.isfinite(xmax) and xmax > 0.0):
+        if not math.isfinite(xmax):
+            raise ValueError("default xmax mode + 8*b*sqrt(a) overflows double precision")
+    if not math.isfinite(xmax):
+        raise ValueError(f"xmax must be finite, got {xmax!r}")
+    if not xmax > 0.0:
         raise ValueError(f"xmax must be positive, got {xmax!r}")
     xs = [xmax * (i / (args.n - 1)) for i in range(args.n)]
     ps = gamma_pdf_values(xs, params)
@@ -161,6 +165,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     a_min, a_max, n = args.a_min, args.a_max, args.points
+    if not (math.isfinite(a_min) and math.isfinite(a_max)):
+        raise ValueError(f"a_min and a_max must be finite, got {a_min!r}, {a_max!r}")
     if not (1.0 < a_min < a_max):
         raise ValueError(f"need 1 < a_min < a_max, got {a_min!r}, {a_max!r}")
     if n < 2:
@@ -245,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -20,7 +20,9 @@ _E = math.e
 
 
 def _check_scale(b: float) -> None:
-    if not (math.isfinite(b) and b > 0.0):
+    if not math.isfinite(b):
+        raise ValueError(f"scale parameter b must be finite, got {b!r}")
+    if not b > 0.0:
         raise ValueError(f"scale parameter b must be positive, got {b!r}")
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable
+from collections.abc import Callable
 
 from .bandwidth import GammaShapeSpec
 from .gamma2 import cdf_a2
@@ -185,7 +185,9 @@ def oracle_median_a2(b: float) -> float:
     """Median of Gamma(2, b) by bisecting the CDF against 1/2 on
     [0, 10*b], capped at the largest double. Raises ValueError when the
     median lies beyond it, that is, overflows double precision."""
-    if not (math.isfinite(b) and b > 0.0):
+    if not math.isfinite(b):
+        raise ValueError(f"scale parameter b must be finite, got {b!r}")
+    if not b > 0.0:
         raise ValueError(f"scale parameter b must be positive, got {b!r}")
     # Bisect u = x/2, so that the bracket ends never sum past the largest
     # double; halving is exact, so the steps are those of bisecting x.

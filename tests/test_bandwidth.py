@@ -126,6 +126,21 @@ class TestShapeScale:
     def test_accepts_boundary_shape(self):
         assert ShapeScale(1.0, 5.0).a == 1.0
 
+    @pytest.mark.parametrize(
+        "a,b,message",
+        [
+            (math.inf, 1.0, "shape parameter a must be finite, got inf"),
+            (-math.inf, 1.0, "shape parameter a must be finite, got -inf"),
+            (math.nan, 1.0, "shape parameter a must be finite, got nan"),
+            (2.0, math.inf, "scale parameter b must be finite, got inf"),
+            (2.0, math.nan, "scale parameter b must be finite, got nan"),
+        ],
+    )
+    def test_nonfinite_parameters_must_be_finite(self, a, b, message):
+        with pytest.raises(ValueError) as exc:
+            ShapeScale(a, b)
+        assert str(exc.value) == message
+
 
 class TestGammaShapeSpec:
     def test_rejects_nonpositive_amplitude(self):
@@ -135,6 +150,12 @@ class TestGammaShapeSpec:
     def test_rejects_nonfinite_shift(self):
         with pytest.raises(ValueError):
             GammaShapeSpec(ShapeScale(2.0, 1.0), s=math.inf)
+
+    @pytest.mark.parametrize("K", [math.inf, math.nan])
+    def test_nonfinite_amplitude_must_be_finite(self, K):
+        with pytest.raises(ValueError) as exc:
+            GammaShapeSpec(ShapeScale(2.0, 1.0), K=K)
+        assert str(exc.value) == f"amplitude K must be finite, got {K!r}"
 
 
 class TestMode:
@@ -292,6 +313,19 @@ class TestGammaShaped:
 
 
 class TestInversePdf:
+    @pytest.mark.parametrize(
+        "p,message",
+        [
+            (math.inf, "density level must be finite, got inf"),
+            (math.nan, "density level must be finite, got nan"),
+            (0.0, "density level must be positive, got 0.0"),
+        ],
+    )
+    def test_bad_level_messages(self, p, message):
+        with pytest.raises(ValueError) as exc:
+            inverse_pdf(p, ShapeScale(3.0, 2.0), Branch.PRINCIPAL)
+        assert str(exc.value) == message
+
     def test_both_branches_meet_at_the_peak(self):
         params = ShapeScale(3.0, 2.0)
         p_max = gamma_pdf(4.0, params)

@@ -121,6 +121,52 @@ class TestFwhmCommand:
         assert captured.out == ""
 
 
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["fwhm", "--a", "inf", "--b", "1"], "shape parameter a must be finite, got inf"),
+            (["fwhm", "--a", "2", "--b", "inf"], "scale parameter b must be finite, got inf"),
+            (["octave", "--a", "nan", "--b", "1"], "shape parameter a must be finite, got nan"),
+            (
+                ["curve", "--a", "3", "--b", "2", "--xmax", "inf"],
+                "xmax must be finite, got inf",
+            ),
+            (
+                ["curve", "--a", "2", "--b", "1e308"],
+                "default xmax mode + 8*b*sqrt(a) overflows double precision",
+            ),
+            (
+                ["compare", "--a-min", "1.5", "--a-max", "inf"],
+                "a_min and a_max must be finite, got 1.5, inf",
+            ),
+            (
+                ["compare", "--a-min", "nan", "--a-max", "10"],
+                "a_min and a_max must be finite, got nan, 10.0",
+            ),
+        ],
+    )
+    def test_exit_2_saying_finite(self, argv, message, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["curve", "--a", "3", "--b", "2", "--xmax", "-1"], "xmax must be positive, got -1.0"),
+            (
+                ["compare", "--a-min", "5", "--a-max", "2"],
+                "need 1 < a_min < a_max, got 5.0, 2.0",
+            ),
+        ],
+    )
+    def test_finite_out_of_range_messages_unchanged(self, argv, message, capsys):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestVerify:
     def test_passes_and_emits_discrepancy(self, capsys):
         assert cli.main(["fwhm", "--a", "2", "--b", "1", "--verify", "--format", "json"]) == 0

@@ -42,6 +42,20 @@ class TestCdf:
         with pytest.raises(ValueError):
             cdf_a2(x, b)
 
+    @pytest.mark.parametrize(
+        "b,message",
+        [
+            (math.inf, "scale parameter b must be finite, got inf"),
+            (math.nan, "scale parameter b must be finite, got nan"),
+            (-2.0, "scale parameter b must be positive, got -2.0"),
+        ],
+    )
+    def test_scale_messages(self, b, message):
+        for call in (lambda: cdf_a2(1.0, b), lambda: quantile_a2(0.5, b)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
+
     @pytest.mark.parametrize("t,tol", [(1e-8, 1e-7), (1e-5, 1e-10), (1e-3, 1e-12)])
     def test_small_x_keeps_relative_accuracy(self, t, tol):
         # leading behaviour is (x/b)^2/2; the two O(t) pieces cancel at

@@ -236,6 +236,19 @@ class TestOracleMedian:
         with pytest.raises(ValueError):
             oracle_median_a2(-1.0)
 
+    @pytest.mark.parametrize(
+        "b,message",
+        [
+            (math.inf, "scale parameter b must be finite, got inf"),
+            (math.nan, "scale parameter b must be finite, got nan"),
+            (0.0, "scale parameter b must be positive, got 0.0"),
+        ],
+    )
+    def test_scale_messages(self, b, message):
+        with pytest.raises(ValueError) as exc:
+            oracle_median_a2(b)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("b", [5e307, 1e308, 1.07e308])
     def test_median_near_the_largest_double(self, b):
         # the bracket 10*b overflows; capped, it still holds the finite median
