@@ -17,9 +17,9 @@ from collections.abc import Sequence
 
 from . import lambertw
 
-# wm1 and branch_difference_from_log_ratio are not called here; they stay
-# importable from this module, where benchmarks/tracing.py wraps them.
-from .lambertw import Branch, branch_difference_from_log_ratio, w0, wm1, wm1_from_log  # noqa: F401
+# w0, wm1 and branch_difference_from_log_ratio are not called here; they
+# stay importable from this module, where benchmarks/tracing.py wraps them.
+from .lambertw import Branch, branch_difference_from_log_ratio, w0, wm1  # noqa: F401
 
 __all__ = [
     "ShapeScale",
@@ -149,7 +149,7 @@ class WidthResult(_Value):
 
     The width field is computed through the cancellation-free branch
     difference and is the authoritative value. Each crossing is within
-    ulp(mode) + 1e-12 half-widths of the exact one, also very close to
+    ulp(mode) + 1e-14 half-widths of the exact one, also very close to
     y = 1, so x_high - x_low agrees with the width up to the rounding of
     the mode.
     """
@@ -302,13 +302,15 @@ def inverse_pdf(p: float, params: ShapeScale, branch: Branch) -> float:
         raise ValueError(
             f"density level {p!r} exceeds the maximum {p_max!r} of the density"
         )
-    # Argument of W, assembled in log space so that huge a and tiny p
-    # neither overflow nor lose the lead digits.
-    t = (math.log(p) + lgamma_a + a_log_b) / (a - 1.0) - math.log(m)
-    if t > -1.0:
-        t = -1.0  # a level at the maximum, up to rounding: the branch point
-    w = w0(-math.exp(t)) if branch is Branch.PRINCIPAL else wm1_from_log(t)
-    x = -m * w + 0.0  # + 0.0 normalizes the -0.0 arising at tiny levels
+    # The cut's r = ln(p/p_max)/(a-1), assembled in log space so that huge
+    # a and tiny p neither overflow nor lose the lead digits; r > 0 is a
+    # level at the maximum, up to rounding: the branch point.
+    r = min((math.log(p) + lgamma_a + a_log_b) / (a - 1.0) - math.log(m) + 1.0, 0.0)
+    q = -math.expm1(r)
+    if branch is Branch.PRINCIPAL:
+        x = lambertw._low(r, q, m)[1]
+    else:
+        x = m - m * lambertw._secondary(r, q)
     if not math.isfinite(x):
         raise _overflow_error(f"abscissa of the density level {p!r} of {params!r}")
     return x

@@ -46,6 +46,9 @@ EXIT_VERIFY = 3
 
 _FORMATS = ("csv", "json", "plain")
 _VERIFY_REL_TOL = 1e-8
+# Options whose value is a float: a value after one of them that starts
+# with "-" and parses as a float is joined to it (see _join_float_values).
+_FLOAT_OPTIONS = frozenset({"--a", "--b", "--y", "--xmax", "--a-min", "--a-max"})
 # Rows of a csv or plain table formatted by one %-operation and written
 # with one write. Larger blocks run no faster, and from about 4096 rows
 # their strings raise the peak RSS of a large table.
@@ -251,8 +254,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_float_values(argv: Sequence[str]) -> list[str]:
+    """argv with "--opt", "-inf" written as "--opt=-inf" for each float option.
+
+    argparse takes a separate value that starts with "-" and is not a plain
+    decimal (-inf, -nan, -1e5) for a flag and fails with "expected one
+    argument"; joined, the value reaches the option's own range check.
+    """
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in _FLOAT_OPTIONS and arg.startswith("-") and _is_float(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(
+        _join_float_values(sys.argv[1:] if argv is None else argv)
+    )
     try:
         return args.func(args)
     except ValueError as exc:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 
+from . import lambertw
 from .bandwidth import ShapeScale, inverse_pdf
-from .lambertw import Branch, wm1
+from .lambertw import Branch
 
 __all__ = ["cdf_a2", "quantile_a2", "median_a2", "check_transform_identity"]
 
@@ -47,10 +48,14 @@ def cdf_a2(x: float, b: float) -> float:
 
 def quantile_a2(p: float, b: float) -> float:
     """Quantile of Gamma(2, b): -b*(1 + Wm1((p-1)/e)), for 0 < p < 1.
-    Raises ValueError when it overflows double precision."""
+
+    Wm1 + 1 is solved at r = log1p(-p), where q = 1 + e*z is p itself, so
+    no digit of p is lost. Raises ValueError when it overflows double
+    precision.
+    """
     _check_level(p)
     _check_scale(b)
-    x = -b * (1.0 + wm1((p - 1.0) / _E))
+    x = -b * lambertw._secondary(math.log1p(-p), p)
     if not math.isfinite(x):
         raise ValueError(f"quantile of Gamma(2, {b!r}) at p={p!r} overflows double precision")
     return x

@@ -61,8 +61,9 @@ NEAR_PEAK_CUTS = (
 # 50-digit mpmath low crossing of ShapeScale(1.5, 1e300) at y = 1e-300,
 # where z = -exp(r - 1) underflows though the crossing does not.
 XLOW_LOG_FORM = 1.8393972058572118e-301
-# The worst Halley-regime width error of 2 776 seeded cuts, 2.3e-13 relative
-# against 50-digit mpmath: (a, y).
+# The worst width error, 2.3e-13 relative against 50-digit mpmath, of 2 776
+# seeded cuts between the series seam and the log form when they were
+# solved by Halley's method in z: (a, y).
 HALLEY_WORST_CUT = (14.21175595577209, 0.13961872590267926)
 # Inputs whose crossings or width overflow double precision: (a, b, y).
 OVERFLOWING = ((2.0, 1e308, 0.5), (1e300, 1e300, 0.5), (1.0, 1e308, 1e-300))
@@ -115,6 +116,15 @@ def mp_cut(mp, a, b, y):
     m = am1 * mp.mpf(b)
     w_lo, w_hi = mp.lambertw(z, 0).real, mp.lambertw(z, -1).real
     return -m * w_lo, -m * w_hi, m * (w_lo - w_hi)
+
+
+def mp_inverse_pdf(mp, p, params, branch):
+    """inverse_pdf in mpmath at its working precision."""
+    a, b = mp.mpf(params.a), mp.mpf(params.b)
+    m = (a - 1) * b
+    p_max = m ** (a - 1) * mp.exp(-m / b) / (mp.gamma(a) * b**a)
+    z = -mp.exp(mp.log(mp.mpf(p) / p_max) / (a - 1) - 1)
+    return -m * mp.lambertw(z, 0 if branch is Branch.PRINCIPAL else -1).real
 
 
 class TestShapeScale:
@@ -397,6 +407,35 @@ class TestInversePdf:
         with pytest.raises(TypeError):
             inverse_pdf(0.1, ShapeScale(3.0, 2.0), "principal")
 
+    def test_principal_branch_where_its_argument_underflows(self):
+        # t = ln(p/p_max)/(a-1) - 1 is about -788: exp(t) underflows, and
+        # the low crossing takes the log form exp(t + ln(mode))
+        mp = pytest.importorskip("mpmath")
+        p, params = math.exp(-691.57), ShapeScale(1.001, 1e300)
+        x = inverse_pdf(p, params, Branch.PRINCIPAL)
+        with mp.workdps(50):
+            want = float(mp_inverse_pdf(mp, p, params, Branch.PRINCIPAL))
+        assert want == pytest.approx(5.185917564557291e-46, rel=1e-15)
+        # the rounding of t, about 1e-13 absolute, bounds the relative error
+        assert rel_err(x, want) < 1e-10
+
+    @pytest.mark.parametrize("a,b", [(3.0, 2.0), (5.0, 1.3), (1.5, 3.0)])
+    def test_levels_within_1e12_of_the_maximum(self, a, b):
+        # r = ln(p/p_max)/(a-1) of order -1e-12/(a-1) is solved as given;
+        # its rounding in log space, not the solve, bounds the error of the
+        # offset from the mode
+        mp = pytest.importorskip("mpmath")
+        params = ShapeScale(a, b)
+        m = mode(params)
+        p_max = gamma_pdf(m, params)
+        for frac in (1.0 - 1e-12, 1.0 - 5e-13):
+            for branch in Branch:
+                x = inverse_pdf(frac * p_max, params, branch)
+                with mp.workdps(50):
+                    want = float(mp_inverse_pdf(mp, frac * p_max, params, branch))
+                assert (x < m) == (want < m) == (branch is Branch.PRINCIPAL)
+                assert abs(x - want) <= 2e-3 * abs(want - m), f"{frac!r}, {branch}"
+
     def test_secondary_branch_at_extreme_levels(self):
         # the W argument underflows here; the log-form solve takes over
         params = ShapeScale(1.0001, 1.0)
@@ -500,9 +539,9 @@ class TestNearPeak:
 
     @pytest.mark.parametrize("a", [3.0, 101.0, 1e5])
     def test_widths_below_and_across_seam(self, a):
-        # q spans [1e-14, 1e-3) and straddles the series seam at 1e-3; just
-        # above it the Halley regime subtracts w0 - wm1 directly, which
-        # cancels by ~1/sqrt(2q), and widths there are good to ~4e-14
+        # q spans [1e-14, 1e-3) and straddles the series seam at 1e-3; on
+        # both sides the two offsets W + 1 have opposite signs, so their
+        # difference does not cancel
         mp = pytest.importorskip("mpmath")
         qs = [10.0 ** (-14 + 11 * k / 22) for k in range(22)]
         qs += [1e-3 * (1.0 - 1e-6), 1e-3 * (1.0 + 1e-6), 1.01e-3]
@@ -513,7 +552,7 @@ class TestNearPeak:
             with mp.workdps(50):
                 want = float(mp_cut(mp, a, 1.0, y)[2])
             got = fwym(ShapeScale(a, 1.0), y).width
-            assert rel_err(got, want) < (2e-15 if below else 1e-13), f"q={q!r}"
+            assert rel_err(got, want) < (2e-15 if below else 4e-16), f"q={q!r}"
 
     def test_log_form_low_crossing_does_not_underflow(self):
         res = fwym(ShapeScale(1.5, 1e300), 1e-300)
@@ -545,7 +584,11 @@ def halley_cuts(n, seed):
 
 
 class TestHalleyRegime:
-    """Cuts between the series seam and the log form against 50-digit mpmath."""
+    """Cuts between the series seam and the log form against 50-digit mpmath.
+
+    The regime keeps the name of the Halley solve in z that served it; it is
+    now solved in r, and widths are within 4e-16 (worst seen 3.7e-16).
+    """
 
     def test_widths_within_5e13(self):
         mp = pytest.importorskip("mpmath")
@@ -553,7 +596,7 @@ class TestHalleyRegime:
             with mp.workdps(50):
                 want = float(mp_cut(mp, a, 1.0, y)[2])
             got = fwym(ShapeScale(a, 1.0), y).width
-            assert rel_err(got, want) <= 5e-13, f"a={a!r}, y={y!r}"
+            assert rel_err(got, want) <= 4e-16, f"a={a!r}, y={y!r}"
 
 class TestFwhm:
     def test_equals_fwym_at_half(self):
@@ -775,6 +818,7 @@ class TestOctaveBandwidth:
             octave_bandwidth(ShapeScale(2.0, 1e308), 0.5)
 
 BRANCHES = ((lambertw, bandwidth), ("w0", "wm1"))
+BRANCH_SOLVES = ((lambertw,), ("_low", "_secondary", "w0", "wm1"))
 
 
 class TestWorkCounts:
@@ -782,9 +826,11 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("fn", [fwym, octave_bandwidth])
     def test_halley_regime_cut(self, count_calls, fn):
-        counts = count_calls(*BRANCHES)
+        # between the series seam and the log form (the regime Halley's
+        # method in z once served) each branch is solved once in r
+        counts = count_calls(*BRANCH_SOLVES)
         fn(ShapeScale(3.0, 1.0), 0.5)
-        assert counts == {"w0": 1, "wm1": 1}
+        assert counts == {"_low": 1, "_secondary": 1, "w0": 0, "wm1": 0}
 
     def test_series_regime_cut(self, count_calls):
         # both branches come from the series in q, with no w0/wm1 call

@@ -166,6 +166,47 @@ class TestNonFiniteParameters:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["curve", "--a", "3", "--b", "2", "--xmax", "-inf"], "xmax must be finite, got -inf"),
+            (["fwhm", "--a", "-inf", "--b", "1"], "shape parameter a must be finite, got -inf"),
+            (["fwhm", "--a", "2", "--b", "-nan"], "scale parameter b must be finite, got nan"),
+            (
+                ["octave", "--a", "-Infinity", "--b", "1"],
+                "shape parameter a must be finite, got -inf",
+            ),
+            (
+                ["compare", "--a-min", "-inf", "--a-max", "10"],
+                "a_min and a_max must be finite, got -inf, 10.0",
+            ),
+            (
+                ["fwhm", "--a", "2", "--b", "1", "--y", "-1e-3"],
+                "proportion of maximum must lie in (0, 1], got -0.001",
+            ),
+        ],
+    )
+    def test_separate_negative_value_reaches_the_range_check(self, argv, message, capsys):
+        # argparse alone takes "-inf" for a flag: "expected one argument"
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "--a", "3", "--b", "2", "--xmax", "--format", "csv"],
+            ["fwhm", "--a", "--b", "1"],
+            ["fwhm", "--a", "2", "--b", "-x"],
+        ],
+    )
+    def test_missing_value_keeps_the_argparse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_passes_and_emits_discrepancy(self, capsys):

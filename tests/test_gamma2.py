@@ -95,6 +95,16 @@ class TestQuantile:
         with pytest.raises(ValueError, match="overflows double precision"):
             quantile_a2(0.9, 1e308)
 
+    @pytest.mark.parametrize("p", [1e-300, 1e-14, 1e-8, 1e-3, 0.5, 1.0 - 1e-15])
+    def test_against_mpmath(self, p):
+        # solved at q = p itself: forming z = (p - 1)/e instead lost p,
+        # 4.0e-4 relative at p = 1e-14, and gave 0.0 at p = 1e-300
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50 + int(-math.log10(p))):  # (p - 1)/e keeps p's digits
+            z = (mp.mpf(p) - 1) / mp.e
+            want = float(-(1 + mp.lambertw(z, -1).real))
+        assert abs(quantile_a2(p, 1.0) - want) <= 2.0 * math.ulp(want)
+
 
 class TestMedian:
     def test_frozen_value(self):
