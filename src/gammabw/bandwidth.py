@@ -306,11 +306,10 @@ def inverse_pdf(p: float, params: ShapeScale, branch: Branch) -> float:
     # a and tiny p neither overflow nor lose the lead digits; r > 0 is a
     # level at the maximum, up to rounding: the branch point.
     r = min((math.log(p) + lgamma_a + a_log_b) / (a - 1.0) - math.log(m) + 1.0, 0.0)
-    q = -math.expm1(r)
     if branch is Branch.PRINCIPAL:
-        x = lambertw._low(r, q, m)[1]
+        x = lambertw._low(r, m)[1]
     else:
-        x = m - m * lambertw._secondary(r, q)
+        x = m - m * lambertw._secondary(r)
     if not math.isfinite(x):
         raise _overflow_error(f"abscissa of the density level {p!r} of {params!r}")
     return x
@@ -346,7 +345,7 @@ def fwym(params: ShapeScale, y: float) -> WidthResult:
     a, b = params.a, params.b
     x_low, x_high, diff, peak = _crossings(params, y)
     width = x_high if a == 1.0 else ((a - 1.0) * diff) * b
-    return WidthResult(x_low=x_low, x_high=x_high, width=width, mode=peak, y=y)
+    return WidthResult(x_low, x_high, width, peak, y)
 
 
 def fwhm(params: ShapeScale) -> WidthResult:
@@ -463,4 +462,4 @@ def octave_bandwidth(params: ShapeScale, y: float) -> OctaveResult:
     low, high, diff, _ = _crossings(params, y)
     if params.a <= 1.0:
         raise ValueError("octave bandwidth needs a > 1; the low crossing is 0 at a = 1")
-    return OctaveResult(high=high, low=low, octaves=diff / _LN2)
+    return OctaveResult(high, low, diff / _LN2)

@@ -55,7 +55,7 @@ def quantile_a2(p: float, b: float) -> float:
     """
     _check_level(p)
     _check_scale(b)
-    x = -b * lambertw._secondary(math.log1p(-p), p)
+    x = -b * lambertw._secondary(math.log1p(-p))
     if not math.isfinite(x):
         raise ValueError(f"quantile of Gamma(2, {b!r}) at p={p!r} overflows double precision")
     return x

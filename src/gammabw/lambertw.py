@@ -4,12 +4,16 @@ Scalar, dependency-free evaluation of the two real branches of the inverse
 of u -> u*exp(u): the principal branch (w >= -1, defined for z >= -1/e) and
 the secondary branch (w <= -1, defined for -1/e <= z < 0), and both at a
 cut z = -exp(r - 1) of a unimodal peak at a fixed fraction of its maximum.
-Their offsets d = W + 1 solve d + log1p(-d) = r; at cuts and near the
-branch point they are solved in the exact r without forming z (the Newton
-form of the iteration of Iacono & Boyd, 2017), or taken from the
-branch-point series within q = -expm1(r) < 1e-3. They have opposite signs,
-so neither their difference nor the crossings built from them cancel.
-Away from the branch point w0 and wm1 take Halley's method in z.
+Their offsets d = W + 1 solve d + log1p(-d) = r, and at cuts and near the
+branch point they are found in the exact r without forming z. Below
+q = -expm1(r) = 1/2 both come from one fixed polynomial in s = sqrt(-2r),
+the secondary branch at -s, which calls no transcendental function
+(Fukushima, 2013, uses such polynomials); only the principal branch above
+W0 = -1/2 then takes one Newton step in v = -W0, to keep the digits of a
+small v. Farther out each is solved by Newton's method in r (the Newton
+form of the iteration of Iacono & Boyd, 2017). The offsets have opposite
+signs, so neither their difference nor the crossings built from them
+cancel. Away from the branch point w0 and wm1 take Halley's method in z.
 """
 
 from __future__ import annotations
@@ -27,12 +31,11 @@ _MAX_ITER = 50
 # itself: callers compute z with a couple of rounding errors of their own.
 _BRANCH_POINT_MIN = -(1.0 + 4.0 * _EPS) / _E
 
-# Below this q both branches come from the branch-point series, exact to
-# double precision there (truncation 2.3e-18 relative to W + 1).
-_SERIES_Q = 1e-3
+# Above this r, q = -expm1(r) < 1/2, both offsets come from _offsets
+_LN_HALF = math.log(0.5)
 
-# W0 = -1/2 at this q; above it v = -W0 is solved, whose digits 1 - d loses.
-_V_FORM_Q = 1.0 - math.sqrt(_E) / 2.0
+# W0 = -1/2 at this r; below it v = -W0 is solved, whose digits 1 - d loses
+_V_FORM_R = 0.5 + _LN_HALF
 
 # exp(r - 1) degrades or underflows below this r - 1: x_low is exp(r - 1 + ln scale)
 _LOG_FORM_CUT = -690.0
@@ -45,35 +48,62 @@ class Branch(Enum):
     SECONDARY = -1
 
 
-def _offset_series(p: float) -> float:
-    # W + 1 through p^11, the coefficients of Corless et al. (1996), eq. 4.22;
-    # the sign of p = +-sqrt(2q) selects the branch.
-    return p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 + p * (-43.0 / 540.0 + p * (
-        769.0 / 17280.0 + p * (-221.0 / 8505.0 + p * (680863.0 / 43545600.0 + p * (
-            -1963.0 / 204120.0 + p * (226287557.0 / 37623398400.0 + p * (
-                -5776369.0 / 1515591000.0 + p * (169709463197.0 / 69528040243200.0)))))))))))
+def _offsets(r: float) -> tuple[float, float]:
+    """(W0 + 1, Wm1 + 1) at z = -exp(r - 1) for -ln 2 <= r <= 0 (q < 1/2),
+    from one polynomial in s = sqrt(-2r), the secondary branch at -s, with
+    no transcendental call: W + 1 = s - u/3 + s*u*odd(u) + u**2*even(u) in
+    the exact u = s**2, fitted by scripts/fit_offsets.py. The odd tail c
+    takes the root's rounding error too, so W0 + 1 = s + ((c + even) - u/3)
+    and Wm1 + 1 = ((even - c) - u/3) - s each round once at the end."""
+    u = -2.0 * r
+    s = math.sqrt(u)
+    if u < 1e-290:
+        # Dekker's products would go subnormal; u/3 is far below an ulp of s
+        return s, -s
+    # Dekker's exact square s*s = p + e from the 26-bit halves of s
+    # (math.fma is 3.13+); the root's remainder is (u - s*s)/(2s)
+    hi = 134217729.0 * s
+    hi -= hi - s
+    lo = s - hi
+    p = s * s
+    odd = s * u * (
+        0.02777777777777778 + u * (
+        0.00023148148148142728 + u * (
+        -2.553644914631635e-05 + u * (
+        -2.428276233807361e-07 + u * (
+        7.542469876385158e-08 + u * (
+        5.158578678136214e-10 + u * (
+        -2.919276080688095e-10 + u * (
+        -1.7064109943971151e-12 + u * (
+        1.4056293720290954e-12 + u * (
+        -3.6226646778444627e-14))))))))))
+    even = u * u * (
+        0.003703703703703704 + u * (
+        -5.878894767784174e-05 + u * (
+        -4.89907897303363e-06 + u * (
+        1.8540621999515075e-07 + u * (
+        1.4721632245329416e-08 + u * (
+        -7.329996965510545e-10 + u * (
+        -5.715118228123676e-11 + u * (
+        3.2164039166457543e-12 + u * (
+        2.6638620328462927e-13 + u * (
+        -2.118175684297582e-14))))))))))
+    c = odd + ((u - p) - (((hi * hi - p) + 2.0 * hi * lo) + lo * lo)) / (s + s)
+    third = u / 3.0
+    return s + ((c + even) - third), ((even - c) - third) - s
 
 
 def _solve(x: float, r: float, in_v: bool = False) -> float:
     """Newton's method on d + log1p(-d) = r from a guess x of d, or with
-    in_v on ln(v) + 1 - v = r in v = 1 - d. For |d| < 1/2 the left side is
-    -t*(d + 2*t**2*(1/3 + t**2/5 + ...)) in t = d/(2 - d), which does not
-    cancel. It stops once the error predicted after a step s,
-    s**2/(2|x|(1 - x)), is below an ulp of x: no evaluation confirms it."""
+    in_v on ln(v) + 1 - v = r in v = 1 - d. The d-form serves only the
+    secondary branch for q >= 1/2, whose iterates stay at or below -1.22,
+    where the left side does not cancel. It stops once the error predicted
+    after a step s, s**2/(2|x|(1 - x)), is below an ulp of x: no evaluation
+    confirms it."""
     for _ in range(_MAX_ITER):
         c = 1.0 - x
         if in_v:
             s = -(math.log(x) + c - r) * x / c
-        elif -0.5 < x < 0.5:
-            t = x / (2.0 - x)
-            t2 = t * t
-            # (atanh(t)/t - 1)/t2 through t2**15: truncated below an ulp for |t| < 1/3
-            a = 1.0 / 3.0 + t2 * (1.0 / 5.0 + t2 * (1.0 / 7.0 + t2 * (1.0 / 9.0 + t2 * (
-                1.0 / 11.0 + t2 * (1.0 / 13.0 + t2 * (1.0 / 15.0 + t2 * (1.0 / 17.0 + t2 * (
-                    1.0 / 19.0 + t2 * (1.0 / 21.0 + t2 * (1.0 / 23.0 + t2 * (1.0 / 25.0 + t2 * (
-                        1.0 / 27.0 + t2 * (1.0 / 29.0 + t2 * (1.0 / 31.0 + t2 * (
-                            1.0 / 33.0)))))))))))))))
-            s = (-t * (x + 2.0 * t2 * a) - r) * c / x
         else:
             s = (x + math.log1p(-x) - r) * c / x
         x += s
@@ -82,28 +112,27 @@ def _solve(x: float, r: float, in_v: bool = False) -> float:
     raise ArithmeticError(f"lambert w iteration did not converge for r={r!r}")
 
 
-def _secondary(r: float, q: float) -> float:
-    """Wm1 + 1 at z = -exp(r - 1) for r <= 0 and q = -expm1(r)."""
-    if q < 0.5:
-        d = _offset_series(-math.sqrt(2.0 * q))
-        return d if q < _SERIES_Q else _solve(d, r)
+def _secondary(r: float) -> float:
+    """Wm1 + 1 at z = -exp(r - 1) for r <= 0."""
+    if r > _LN_HALF:
+        return _offsets(r)[1]
     return _solve(r - math.log(1.0 - r), r)  # W ~ ln(-z) - ln(-ln(-z))
 
 
-def _low(r: float, q: float, scale: float) -> tuple[float, float]:
-    """(W0 + 1, -scale*W0) at z = -exp(r - 1) for r <= 0, q = -expm1(r) and
-    scale >= 0. Below W0 = -1/2 it solves d = W0 + 1 and gives the crossing
-    scale - scale*d; above, it solves v = -W0 and gives scale*v."""
-    if q < _V_FORM_Q:
-        d = _offset_series(math.sqrt(2.0 * q))
-        if q >= _SERIES_Q:
-            d = _solve(d, r)
+def _low(r: float, scale: float) -> tuple[float, float]:
+    """(W0 + 1, -scale*W0) at z = -exp(r - 1) for r <= 0 and scale >= 0.
+    Below W0 = -1/2 d = W0 + 1 comes from _offsets and the crossing is
+    scale - scale*d. Above, Newton's method solves v = -W0, whose digits
+    1 - d loses, and the crossing is scale*v; below q = 1/2 it starts from
+    the polynomial's 1 - d and takes one step."""
+    if r > _V_FORM_R:
+        d = _offsets(r)[0]
         return d, scale - scale * d
     if r - 1.0 <= _LOG_FORM_CUT:
         # W0(z) = z to double precision; exp(r - 1) alone may underflow
         return 1.0, math.exp(r - 1.0 + math.log(scale)) if scale > 0.0 else 0.0
     # from q = 1/2 on, W0(z) ~ z/(1 + z), below the root: Newton stays there
-    guess = 1.0 - _offset_series(math.sqrt(2.0 * q)) if q < 0.5 else 1.0 / math.expm1(1.0 - r)
+    guess = 1.0 - _offsets(r)[0] if r > _LN_HALF else 1.0 / math.expm1(1.0 - r)
     v = _solve(guess, r, True)
     return 1.0 - v, scale * v
 
@@ -137,7 +166,7 @@ def w0(z: float) -> float:
             raise ValueError(f"w0 is undefined below -1/e, got z={z!r}")
         q = 0.0
     if q < 0.5:
-        return -_low(math.log1p(-q), q, 1.0)[1]
+        return -_low(math.log1p(-q), 1.0)[1]
     return _halley(z / (1.0 + z) if z <= _E else math.log(z) - math.log(math.log(z)), z)
 
 
@@ -155,7 +184,7 @@ def wm1(z: float) -> float:
             raise ValueError(f"wm1 is undefined below -1/e, got z={z!r}")
         q = 0.0
     if q < 0.5:
-        return _secondary(math.log1p(-q), q) - 1.0
+        return _secondary(math.log1p(-q)) - 1.0
     lz = math.log(-z)
     return _halley(lz - math.log(-lz), z)
 
@@ -166,21 +195,19 @@ def wm1_from_log(m: float) -> float:
     where exp(m) underflows. m up to 4 eps above -1 gives -1."""
     if not (math.isfinite(m) and m <= -1.0 + 4.0 * _EPS):
         raise ValueError(f"wm1_from_log needs a finite m <= -1, got {m!r}")
-    r = min(m + 1.0, 0.0)
-    return _secondary(r, -math.expm1(r)) - 1.0
+    return _secondary(min(m + 1.0, 0.0)) - 1.0
 
 
 def _cut(r: float, scale: float) -> tuple[float, float, float]:
     """(-scale*W0, -scale*Wm1, W0 - Wm1) at z = -exp(r - 1) for an unchecked
     r <= 0 and scale >= 0: the two crossings of a cut at a peak whose mode
-    is scale, and the branch difference, each branch solved once."""
-    q = -math.expm1(r)
-    if q < _SERIES_Q:  # _low's and _secondary's series, sharing one sqrt: 20% faster
-        p = math.sqrt(2.0 * q)
-        lo, hi = _offset_series(p), _offset_series(-p)
+    is scale, and the branch difference, each branch solved once. Below
+    W0 = -1/2 both offsets come from one evaluation of _offsets."""
+    if r > _V_FORM_R:
+        lo, hi = _offsets(r)
         return scale - scale * lo, scale - scale * hi, lo - hi
-    hi = _secondary(r, q)
-    lo, x_low = _low(r, q, scale)
+    hi = _secondary(r)
+    lo, x_low = _low(r, scale)
     return x_low, scale - scale * hi, lo - hi
 
 

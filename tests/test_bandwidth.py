@@ -22,7 +22,7 @@ from gammabw.bandwidth import (
     octave_bandwidth,
 )
 from gammabw import bandwidth, lambertw
-from gammabw.gamma2 import cdf_a2
+from gammabw.gamma2 import cdf_a2, quantile_a2
 from gammabw.lambertw import Branch, branch_difference_from_log_ratio
 
 # Frozen oracle values (double bisection cross-checked against a 60-digit
@@ -819,24 +819,59 @@ class TestOctaveBandwidth:
 
 BRANCHES = ((lambertw, bandwidth), ("w0", "wm1"))
 BRANCH_SOLVES = ((lambertw,), ("_low", "_secondary", "w0", "wm1"))
+P_MAX_A3 = gamma_pdf(2.0, ShapeScale(3.0, 1.0))
 
 
 class TestWorkCounts:
-    """Lambert evaluations per cut: each branch is solved once."""
+    """Lambert evaluations per cut: each branch is solved once, and below
+    q = 1/2 only the principal branch above W0 = -1/2 takes a Newton solve."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The in_v flag of every lambertw._solve call, in order."""
+        forms = []
+        solve = lambertw._solve
+
+        def recorded(x, r, in_v=False):
+            forms.append(in_v)
+            return solve(x, r, in_v)
+
+        monkeypatch.setattr(lambertw, "_solve", recorded)
+        return forms
 
     @pytest.mark.parametrize("fn", [fwym, octave_bandwidth])
-    def test_halley_regime_cut(self, count_calls, fn):
-        # between the series seam and the log form (the regime Halley's
-        # method in z once served) each branch is solved once in r
+    def test_halley_regime_cut(self, count_calls, solves, fn):
+        # q = 0.29, above W0 = -1/2 (the regime Halley's method in z once
+        # served): the secondary branch comes from the polynomial in s, and
+        # the principal branch from one v-form Newton solve started there
         counts = count_calls(*BRANCH_SOLVES)
         fn(ShapeScale(3.0, 1.0), 0.5)
         assert counts == {"_low": 1, "_secondary": 1, "w0": 0, "wm1": 0}
+        assert solves == [True]
 
-    def test_series_regime_cut(self, count_calls):
-        # both branches come from the series in q, with no w0/wm1 call
+    def test_series_regime_cut(self, count_calls, solves):
+        # both offsets come from the polynomial in s, with no w0/wm1 call
+        # and no Newton solve
         counts = count_calls(*BRANCHES)
         fwym(ShapeScale(3.0, 1.0), 1.0 - 1e-6)
         assert counts == {"w0": 0, "wm1": 0}
+        assert solves == []
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: fwym(ShapeScale(30.0, 1.0), 0.5),  # q = 0.024
+            # 0.9 of the maximum of ShapeScale(3, 1), at its mode 2: q = 0.051
+            lambda: inverse_pdf(0.9 * P_MAX_A3, ShapeScale(3.0, 1.0), Branch.PRINCIPAL),
+            lambda: inverse_pdf(0.9 * P_MAX_A3, ShapeScale(3.0, 1.0), Branch.SECONDARY),
+            lambda: quantile_a2(0.1, 1.0),  # q = p = 0.1
+        ],
+        ids=["fwym", "inverse_pdf-principal", "inverse_pdf-secondary", "quantile_a2"],
+    )
+    def test_no_solve_below_w0_of_minus_half(self, solves, call):
+        # q < 1/2 and W0 < -1/2: the polynomial in s gives the offsets
+        call()
+        assert solves == []
 
     def test_log_form_cut_skips_wm1(self, count_calls):
         # W0(z) = z there, and the secondary branch is solved in log form

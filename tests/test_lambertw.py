@@ -1,9 +1,11 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gammabw import lambertw
 from gammabw.lambertw import (
     Branch,
     branch_difference_from_log_ratio,
@@ -184,6 +186,44 @@ class TestBranchDifference:
         d2 = branch_difference_from_log_ratio(-1e8)
         assert 790.0 < d1 < 810.0
         assert d2 > 1e8
+
+
+LN2 = math.log(2.0)
+
+
+def offset_rs():
+    """Seeded r in [-ln 2, -1e-30], uniform (where the offsets are largest)
+    and log-uniform toward the branch point; then -ln 2 and the doubles just
+    above it, and the smallest subnormal."""
+    rng = random.Random(12)
+    uniform = [-LN2 * rng.random() for _ in range(700)]
+    log_uniform = [-math.exp(rng.uniform(math.log(1e-30), math.log(LN2))) for _ in range(300)]
+    return uniform + log_uniform + [-LN2 * (1.0 - k * 2.0**-52) for k in range(8)] + [-5e-324]
+
+
+class TestOffsets:
+    """lambertw._offsets, both branches below q = 1/2 from one polynomial in
+    s = sqrt(-2r), against 100-digit mpmath."""
+
+    def test_within_ulps_of_mpmath(self):
+        # each offset rounds once at the end (worst seen 0.96 and 0.74 ulps
+        # over 20 000 uniform r); lo - hi can be 1.25 ulps off even from
+        # correctly rounded offsets (worst seen 1.32)
+        mp = pytest.importorskip("mpmath")
+        for r in offset_rs():
+            # the branch point costs log10(1/|r|) digits of z
+            with mp.workdps(100 + max(0, int(-math.log10(-r)))):
+                z = -mp.exp(mp.mpf(r) - 1)
+                w0_1, wm1_1 = mp.lambertw(z, 0).real + 1, mp.lambertw(z, -1).real + 1
+                lo, hi = lambertw._offsets(r)
+                cases = ((lo, w0_1, 1.0), (hi, wm1_1, 1.0), (lo - hi, w0_1 - wm1_1, 1.5))
+                for got, want, bound in cases:
+                    ulps = abs(got - want) / math.ulp(float(want))
+                    assert ulps <= bound, f"r={r!r}: {float(ulps):.2f} ulps"
+
+    @pytest.mark.parametrize("r", [-0.0, 0.0])
+    def test_branch_point_is_exact(self, r):
+        assert lambertw._offsets(r) == (0.0, 0.0)
 
 
 class TestWm1FromLog:
