@@ -13,12 +13,14 @@ W0 = -1/2 then takes one Newton step in v = -W0, to keep the digits of a
 small v. Farther out each is solved by Newton's method in r (the Newton
 form of the iteration of Iacono & Boyd, 2017). The offsets have opposite
 signs, so neither their difference nor the crossings built from them
-cancel. Away from the branch point w0 and wm1 take Halley's method in z.
+cancel. Away from the branch point w0 and wm1 take Halley's method in z,
+except wm1 at subnormal z, which is solved in ln(-z).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 
 __all__ = ["Branch", "w0", "wm1", "wm1_from_log", "branch_difference_from_log_ratio"]
@@ -113,28 +115,12 @@ def _solve(x: float, r: float, in_v: bool = False) -> float:
 
 
 def _secondary(r: float) -> float:
-    """Wm1 + 1 at z = -exp(r - 1) for r <= 0."""
+    """Wm1 + 1 at z = -exp(r - 1) for r <= 0: from _offsets below q = 1/2,
+    else by Newton's method in d. It serves _cut, wm1 and wm1_from_log, and
+    gamma2.quantile_a2, which needs only this branch."""
     if r > _LN_HALF:
         return _offsets(r)[1]
     return _solve(r - math.log(1.0 - r), r)  # W ~ ln(-z) - ln(-ln(-z))
-
-
-def _low(r: float, scale: float) -> tuple[float, float]:
-    """(W0 + 1, -scale*W0) at z = -exp(r - 1) for r <= 0 and scale >= 0.
-    Below W0 = -1/2 d = W0 + 1 comes from _offsets and the crossing is
-    scale - scale*d. Above, Newton's method solves v = -W0, whose digits
-    1 - d loses, and the crossing is scale*v; below q = 1/2 it starts from
-    the polynomial's 1 - d and takes one step."""
-    if r > _V_FORM_R:
-        d = _offsets(r)[0]
-        return d, scale - scale * d
-    if r - 1.0 <= _LOG_FORM_CUT:
-        # W0(z) = z to double precision; exp(r - 1) alone may underflow
-        return 1.0, math.exp(r - 1.0 + math.log(scale)) if scale > 0.0 else 0.0
-    # from q = 1/2 on, W0(z) ~ z/(1 + z), below the root: Newton stays there
-    guess = 1.0 - _offsets(r)[0] if r > _LN_HALF else 1.0 / math.expm1(1.0 - r)
-    v = _solve(guess, r, True)
-    return 1.0 - v, scale * v
 
 
 def _halley(w: float, z: float) -> float:
@@ -166,18 +152,22 @@ def w0(z: float) -> float:
             raise ValueError(f"w0 is undefined below -1/e, got z={z!r}")
         q = 0.0
     if q < 0.5:
-        return -_low(math.log1p(-q), 1.0)[1]
+        return -_cut(math.log1p(-q), 1.0)[0]
     return _halley(z / (1.0 + z) if z <= _E else math.log(z) - math.log(math.log(z)), z)
 
 
 def wm1(z: float) -> float:
     """Secondary branch: the solution w <= -1 of w*exp(w) = z, for -1/e <= z < 0.
 
-    wm1 at the branch point (same tolerance as w0) is exactly -1.
-    Raises ValueError for z >= 0 or z below -1/e beyond the tolerance.
+    wm1 at the branch point (same tolerance as w0) is exactly -1; subnormal
+    z is solved in ln(-z), as wm1_from_log does. Raises ValueError for
+    z >= 0 or z below -1/e beyond the tolerance.
     """
     if not math.isfinite(z) or z >= 0.0:
         raise ValueError(f"wm1 needs -1/e <= z < 0, got {z!r}")
+    if -z < sys.float_info.min:
+        # w*exp(w) is subnormal at the root: Halley's residual loses its digits
+        return wm1_from_log(math.log(-z))
     q = 1.0 + _E * z
     if q <= 0.0:
         if z < _BRANCH_POINT_MIN:
@@ -201,14 +191,27 @@ def wm1_from_log(m: float) -> float:
 def _cut(r: float, scale: float) -> tuple[float, float, float]:
     """(-scale*W0, -scale*Wm1, W0 - Wm1) at z = -exp(r - 1) for an unchecked
     r <= 0 and scale >= 0: the two crossings of a cut at a peak whose mode
-    is scale, and the branch difference, each branch solved once. Below
-    W0 = -1/2 both offsets come from one evaluation of _offsets."""
-    if r > _V_FORM_R:
+    is scale, and the branch difference, each branch solved once. The
+    principal branch at a cut is found only here. Below q = 1/2 one
+    evaluation of _offsets gives both offsets d = W + 1, and a crossing is
+    scale - scale*d. Above W0 = -1/2 Newton's method solves v = -W0 instead,
+    whose digits 1 - d loses, and the low crossing is scale*v; below q = 1/2
+    that takes one step from the polynomial's 1 - d. Where r - 1 <= -690,
+    W0 = z and the low crossing is exp(r - 1 + ln scale)."""
+    if r > _LN_HALF:
         lo, hi = _offsets(r)
-        return scale - scale * lo, scale - scale * hi, lo - hi
-    hi = _secondary(r)
-    lo, x_low = _low(r, scale)
-    return x_low, scale - scale * hi, lo - hi
+        if r > _V_FORM_R:
+            return scale - scale * lo, scale - scale * hi, lo - hi
+        v = _solve(1.0 - lo, r, True)
+    else:
+        hi = _secondary(r)
+        if r - 1.0 <= _LOG_FORM_CUT:
+            # W0(z) = z to double precision; exp(r - 1) alone may underflow
+            x_low = math.exp(r - 1.0 + math.log(scale)) if scale > 0.0 else 0.0
+            return x_low, scale - scale * hi, 1.0 - hi
+        # from q = 1/2 on, W0(z) ~ z/(1 + z), below the root: Newton stays there
+        v = _solve(1.0 / math.expm1(1.0 - r), r, True)
+    return scale * v, scale - scale * hi, (1.0 - v) - hi
 
 
 def branch_difference_from_log_ratio(r: float) -> float:

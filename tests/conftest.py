@@ -1,8 +1,29 @@
-"""Shared fixtures: the golden-file manifest used by the CLI tests, the
-acceptance gate, and scripts/make_goldens.py, and a call counter for
-machine-independent work counts."""
+"""Shared fixtures and helpers: the golden-file manifest used by the CLI
+tests, the acceptance gate, and scripts/make_goldens.py; a call counter for
+machine-independent work counts; the relative error; and the mpmath
+reference for a cut, which the test modules import from here."""
 
 import pytest
+
+
+def rel_err(got, want):
+    return abs(got - want) / abs(want)
+
+
+def mp_branches(mp, a, b, y):
+    """(mode, W0, Wm1) of the cut at proportion y of the peak of shape a and
+    scale b, at z = -exp(ln(y)/(a-1) - 1), in mpmath at its working
+    precision."""
+    am1 = mp.mpf(a) - 1
+    z = -mp.exp(mp.log(mp.mpf(y)) / am1 - 1)
+    return am1 * mp.mpf(b), mp.lambertw(z, 0).real, mp.lambertw(z, -1).real
+
+
+def mp_cut(mp, a, b, y):
+    """(x_low, x_high, width) of the cut at proportion y, in mpmath at its
+    working precision."""
+    m, w_lo, w_hi = mp_branches(mp, a, b, y)
+    return -m * w_lo, -m * w_hi, m * (w_lo - w_hi)
 
 
 @pytest.fixture

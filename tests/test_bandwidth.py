@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import mp_cut, rel_err
 
 from gammabw.bandwidth import (
     GammaShapeSpec,
@@ -62,8 +63,8 @@ NEAR_PEAK_CUTS = (
 # where z = -exp(r - 1) underflows though the crossing does not.
 XLOW_LOG_FORM = 1.8393972058572118e-301
 # The worst width error, 2.3e-13 relative against 50-digit mpmath, of 2 776
-# seeded cuts between the series seam and the log form when they were
-# solved by Halley's method in z: (a, y).
+# seeded cuts with q >= 1e-3 above the log form when they were solved by
+# Halley's method in z: (a, y).
 HALLEY_WORST_CUT = (14.21175595577209, 0.13961872590267926)
 # Inputs whose crossings or width overflow double precision: (a, b, y).
 OVERFLOWING = ((2.0, 1e308, 0.5), (1e300, 1e300, 0.5), (1.0, 1e308, 1e-300))
@@ -102,20 +103,6 @@ OVERFLOW_RULE = {
     "cdf_a2_large_x": (lambda: cdf_a2(1e308, 1e-10), 1.0),
     "cdf_a2_small_b": (lambda: cdf_a2(1e300, 1e-300), 1.0),
 }
-
-
-def rel_err(got, want):
-    return abs(got - want) / abs(want)
-
-
-def mp_cut(mp, a, b, y):
-    """(x_low, x_high, width) of the cut at proportion y, in mpmath at its
-    working precision."""
-    am1 = mp.mpf(a) - 1
-    z = -mp.exp(mp.log(mp.mpf(y)) / am1 - 1)
-    m = am1 * mp.mpf(b)
-    w_lo, w_hi = mp.lambertw(z, 0).real, mp.lambertw(z, -1).real
-    return -m * w_lo, -m * w_hi, m * (w_lo - w_hi)
 
 
 def mp_inverse_pdf(mp, p, params, branch):
@@ -539,8 +526,9 @@ class TestNearPeak:
 
     @pytest.mark.parametrize("a", [3.0, 101.0, 1e5])
     def test_widths_below_and_across_seam(self, a):
-        # q spans [1e-14, 1e-3) and straddles the series seam at 1e-3; on
-        # both sides the two offsets W + 1 have opposite signs, so their
+        # q spans [1e-14, 1e-3) and straddles 1e-3, where an earlier
+        # kernel's series in p ended (both sides now come from the polynomial
+        # in s); the two offsets W + 1 have opposite signs, so their
         # difference does not cancel
         mp = pytest.importorskip("mpmath")
         qs = [10.0 ** (-14 + 11 * k / 22) for k in range(22)]
@@ -584,10 +572,12 @@ def halley_cuts(n, seed):
 
 
 class TestHalleyRegime:
-    """Cuts between the series seam and the log form against 50-digit mpmath.
+    """Cuts with q >= 1e-3 above the log form against 50-digit mpmath.
 
-    The regime keeps the name of the Halley solve in z that served it; it is
-    now solved in r, and widths are within 4e-16 (worst seen 3.7e-16).
+    The class keeps the name of the Halley solve in z that once served
+    these cuts. Now the polynomial in s gives them below q = 1/2 (with one
+    v-form step above W0 = -1/2) and Newton's method in r above, and widths
+    are within 4e-16 (worst seen 3.7e-16).
     """
 
     def test_widths_within_5e13(self):
@@ -693,8 +683,9 @@ class TestApproxProportionalError:
 
 def seeded_shapes(seed):
     """Shapes in every regime of a unit-scale FWHM cut, z = -exp(ln(1/2)/(a-1) - 1):
-    the log form (a - 1 below about 1e-3), Halley, and the branch-point
-    series (a above about 700), up to 1e300, plus a = 1 and the seams."""
+    the log form (a - 1 below about 1e-3), Newton's method in r, and the
+    polynomial in s (a above 2), up to 1e300, plus a = 1 and fixed shapes
+    on the seams of earlier kernels."""
     rng = random.Random(seed)
     shapes = [1.0, 1.0 + 1e-7, 1.0 + 2.0**-52, 1.001, 1.0014, 694.0, 700.0, 1e300]
     shapes += [1.0 + math.exp(rng.uniform(math.log(1e-7), math.log(1.4e-3))) for _ in range(200)]
@@ -818,13 +809,14 @@ class TestOctaveBandwidth:
             octave_bandwidth(ShapeScale(2.0, 1e308), 0.5)
 
 BRANCHES = ((lambertw, bandwidth), ("w0", "wm1"))
-BRANCH_SOLVES = ((lambertw,), ("_low", "_secondary", "w0", "wm1"))
+POLYNOMIAL = ((lambertw,), ("_offsets", "w0", "wm1"))
 P_MAX_A3 = gamma_pdf(2.0, ShapeScale(3.0, 1.0))
 
 
 class TestWorkCounts:
-    """Lambert evaluations per cut: each branch is solved once, and below
-    q = 1/2 only the principal branch above W0 = -1/2 takes a Newton solve."""
+    """Lambert evaluations per cut: each branch is solved once, below q = 1/2
+    both come from one evaluation of the polynomial in s, and only the
+    principal branch above W0 = -1/2 then takes a Newton solve."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -842,11 +834,11 @@ class TestWorkCounts:
     @pytest.mark.parametrize("fn", [fwym, octave_bandwidth])
     def test_halley_regime_cut(self, count_calls, solves, fn):
         # q = 0.29, above W0 = -1/2 (the regime Halley's method in z once
-        # served): the secondary branch comes from the polynomial in s, and
-        # the principal branch from one v-form Newton solve started there
-        counts = count_calls(*BRANCH_SOLVES)
+        # served): one evaluation of the polynomial in s gives the secondary
+        # branch and the start of the principal branch's one v-form step
+        counts = count_calls(*POLYNOMIAL)
         fn(ShapeScale(3.0, 1.0), 0.5)
-        assert counts == {"_low": 1, "_secondary": 1, "w0": 0, "wm1": 0}
+        assert counts == {"_offsets": 1, "w0": 0, "wm1": 0}
         assert solves == [True]
 
     def test_series_regime_cut(self, count_calls, solves):
@@ -868,9 +860,12 @@ class TestWorkCounts:
         ],
         ids=["fwym", "inverse_pdf-principal", "inverse_pdf-secondary", "quantile_a2"],
     )
-    def test_no_solve_below_w0_of_minus_half(self, solves, call):
-        # q < 1/2 and W0 < -1/2: the polynomial in s gives the offsets
+    def test_no_solve_below_w0_of_minus_half(self, count_calls, solves, call):
+        # q < 1/2 and W0 < -1/2: one evaluation of the polynomial in s gives
+        # the offsets
+        counts = count_calls(*POLYNOMIAL)
         call()
+        assert counts == {"_offsets": 1, "w0": 0, "wm1": 0}
         assert solves == []
 
     def test_log_form_cut_skips_wm1(self, count_calls):

@@ -1,15 +1,18 @@
 """Seeded differential suite: widths, crossings and Lambert values against
-50-digit mpmath, in every band of q = -expm1(ln(y)/(a-1)) and on every seam
-of the kernel: the series seam q = 1e-3, the switch of first guesses at
-q = 1/2, the principal branch's switch to v = -W0 at W0 = -1/2, the log
-form at r - 1 = -690, shapes a -> 1+ and up to 1e12, and proportions y
-down to 5e-324.
+50-digit mpmath, in every band of q = -expm1(r), r = ln(y)/(a-1), and on
+every seam of the kernel: q = 1/2 (r = ln 1/2), below which both branches
+come from the polynomial in s = sqrt(-2r); q = 1 - sqrt(e)/2 at W0 = -1/2
+(r = 1/2 + ln 1/2), where the principal branch switches to v = -W0; and the
+log form at r - 1 = -690. Also q near 1e-3, where the series of an earlier
+kernel ended, shapes a -> 1+ and up to 1e12, and proportions y down to
+5e-324.
 """
 
 import math
 import random
 
 import pytest
+from conftest import mp_cut
 
 from gammabw.bandwidth import ShapeScale, fwym
 from gammabw.lambertw import w0
@@ -24,8 +27,11 @@ WIDTH_REL = 4e-16
 CROSS_HW = 1e-14
 W0_ULPS = 2.0
 
-# q at W0 = -1/2, where the principal branch switches to v = -W0
+# q at W0 = -1/2 (r = 1/2 + ln 1/2), where the principal branch switches
+# to v = -W0
 Q_V_FORM = 1.0 - math.sqrt(math.e) / 2.0
+# Bands of q; the edges at 1e-3 and 1.1e-3 bracket the end of an earlier
+# kernel's series, which no path of this one keeps
 BANDS = (
     (1e-14, 1e-3),
     (1e-3, 1.1e-3),
@@ -35,6 +41,7 @@ BANDS = (
     (0.5, 0.99),
     (0.99, 1.0 - 1e-12),
 )
+# The kernel's two seams in q, and q = 1e-3, the old series seam
 SEAM_QS = (1e-3, Q_V_FORM, 0.5)
 SEAM_SHAPES = (1.5, 3.0, 101.0)
 EXTREME_CUTS = (
@@ -57,22 +64,12 @@ EXTREME_CUTS = (
 )
 
 
-def mp_cut(a, b, y):
-    """(x_low, x_high, width) of the cut at proportion y, at 50 digits."""
-    with mp.workdps(50):
-        am1 = mp.mpf(a) - 1
-        z = -mp.exp(mp.log(mp.mpf(y)) / am1 - 1)
-        m = am1 * mp.mpf(b)
-        w_lo, w_hi = mp.lambertw(z, 0).real, mp.lambertw(z, -1).real
-        return -m * w_lo, -m * w_hi, m * (w_lo - w_hi)
-
-
 def assert_cut(a, b, y):
     """The width at unit scale and both crossings at scale b."""
     res = fwym(ShapeScale(a, b), y)
-    x_low, x_high, width = mp_cut(a, b, y)
     where = f"a={a!r}, b={b!r}, y={y!r}"
     with mp.workdps(50):
+        x_low, x_high, width = mp_cut(mp, a, b, y)
         unit_width = width / b
         got = fwym(ShapeScale(a, 1.0), y).width
         assert float(abs(got - unit_width) / unit_width) <= WIDTH_REL, where

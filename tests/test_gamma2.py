@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import rel_err
 
 from gammabw import gamma2
 from gammabw.gamma2 import cdf_a2, check_transform_identity, median_a2, quantile_a2
@@ -13,10 +14,6 @@ MEDIAN_B1 = 1.6783469900166605
 
 P_GRID = (0.001, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999)
 B_GRID = (0.5, 1.0, 2.0, 3.0)
-
-
-def rel_err(got, want):
-    return abs(got - want) / abs(want)
 
 
 class TestCdf:

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import rel_err
 
 from gammabw import lambertw
 from gammabw.lambertw import (
@@ -22,10 +23,6 @@ W0_AT_HALF_BP = -0.23196095298653444  # W0(-1/(2e))
 WM1_AT_HALF_BP = -2.6783469900166605  # Wm1(-1/(2e))
 DIFF_AT_LN2 = 2.446386037030126  # W0 - Wm1 at z = -1/(2e)
 DIFF_AT_LN2_99 = 0.23676038729121193  # same at r = -ln(2)/99
-
-
-def rel_err(got, want):
-    return abs(got - want) / abs(want)
 
 
 class TestW0:
@@ -72,6 +69,14 @@ class TestWm1:
     def test_domain_errors(self, z):
         with pytest.raises(ValueError):
             wm1(z)
+
+    @pytest.mark.parametrize("z", [-5e-324, -1e-310, -2e-309, -2.2e-308])
+    def test_subnormal_argument_matches_mpmath(self, z):
+        # exp(w) is subnormal at the root, so the branch is solved in ln(-z)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            want = mp.lambertw(mp.mpf(z), -1).real
+            assert float(abs(wm1(z) - want)) <= 2.0 * math.ulp(float(want))
 
     def test_ceiling_at_minus_one(self):
         for k in range(400):
@@ -165,6 +170,10 @@ class TestBranchDifference:
 
     @pytest.mark.parametrize("q", [9.0e-4, 9.9e-4, 1.0e-3, 1.01e-3, 1.1e-3])
     def test_series_and_direct_agree_at_seam(self, q):
+        # named for the series in p that an earlier kernel used below
+        # q = 1e-3; no path ends there now (the kernel's seams are
+        # r = ln 1/2 and 1/2 + ln 1/2), and the cut in r must still agree
+        # with the branches solved in z
         z = (q - 1.0) / math.e
         direct = w0(z) - wm1(z)
         assert rel_err(branch_difference_from_log_ratio(math.log1p(-q)), direct) < 1e-9

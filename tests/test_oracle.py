@@ -3,6 +3,7 @@ import random
 import types
 
 import pytest
+from conftest import mp_branches, rel_err
 
 from gammabw import oracle
 from gammabw.bandwidth import GammaShapeSpec, ShapeScale, fwym, mode
@@ -19,10 +20,6 @@ XHIGH_A3_B2_HALF = 8.311841800401812
 XLOW_A2_B1_HALF = 0.23196095298653444
 XHIGH_A2_B1_HALF = 2.6783469900166605
 MEDIAN_B1 = 1.6783469900166605
-
-
-def rel_err(got, want):
-    return abs(got - want) / abs(want)
 
 
 class TestOracleLambertW:
@@ -144,16 +141,6 @@ def offset_cuts(n, seed):
     return cuts
 
 
-def mp_offsets(mp, a, b, y):
-    """(width, x_low - mode, x_high - mode) of the cut in mpmath at its
-    working precision."""
-    am1 = mp.mpf(a) - 1
-    z = -mp.exp(mp.log(mp.mpf(y)) / am1 - 1)
-    m = am1 * mp.mpf(b)
-    w_lo, w_hi = mp.lambertw(z, 0).real, mp.lambertw(z, -1).real
-    return m * (w_lo - w_hi), -m * (1 + w_lo), -m * (1 + w_hi)
-
-
 def mode_shifted(a, b):
     params = ShapeScale(a, b)
     return GammaShapeSpec(params, s=mode(params))
@@ -168,7 +155,8 @@ class TestOffsetForm:
         for a, b, y in offset_cuts(200, seed):
             lo, hi = oracle_crossings(mode_shifted(a, b), y)
             with mp.workdps(60):
-                width, d_lo, d_hi = mp_offsets(mp, a, b, y)
+                m, w_lo, w_hi = mp_branches(mp, a, b, y)
+                width, d_lo, d_hi = m * (w_lo - w_hi), -m * (1 + w_lo), -m * (1 + w_hi)
                 assert float(abs((hi - lo) - width) / width) <= 1e-14, (a, b, y)
                 assert float(abs((lo - d_lo) / d_lo)) <= 1e-14, (a, b, y)
                 assert float(abs((hi - d_hi) / d_hi)) <= 1e-14, (a, b, y)
