@@ -19,7 +19,7 @@ _ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = _ROOT / "tests" / "golden"
 
 sys.path.insert(0, str(_ROOT / "tests"))
-from conftest import GOLDEN_INVOCATIONS  # noqa: E402
+from goldens import GOLDEN_INVOCATIONS  # noqa: E402
 
 # (a, b, y) triples whose widths appear in the fixtures above.
 WIDTH_CASES = [

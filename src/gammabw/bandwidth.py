@@ -10,8 +10,6 @@ maximum (FWHM at y = 1/2), the octave bandwidth, and the normal-curve
 approximation to the FWHM together with its overshoot.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Sequence
 

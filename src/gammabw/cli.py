@@ -13,11 +13,8 @@ a single header row, json is one object with shortest round-trip floats,
 plain is one value per line.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
-import json
 import math
 import sys
 from collections.abc import Sequence
@@ -55,9 +52,17 @@ _FLOAT_OPTIONS = frozenset({"--a", "--b", "--y", "--xmax", "--a-min", "--a-max"}
 _BLOCK_ROWS = 1024
 
 
+def _json_line(obj: dict) -> str:
+    # json is imported here, not at the top: most runs write csv or plain,
+    # and loading it costs about a third of the import of this module.
+    import json
+
+    return json.dumps(obj) + "\n"
+
+
 def _emit_record(fields: list[tuple[str, float]], fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(dict(fields)) + "\n")
+        sys.stdout.write(_json_line(dict(fields)))
     else:
         _emit_table([(name, [value]) for name, value in fields], [], fmt)
 
@@ -71,7 +76,7 @@ def _emit_table(
     if fmt == "json":
         obj: dict[str, object] = {name: values for name, values in columns}
         obj.update(annotations)
-        out.write(json.dumps(obj) + "\n")
+        out.write(_json_line(obj))
         return
     # "%.16e" % v is format(v, ".16e") and "%r" % v is repr(v).
     k = len(columns)

@@ -7,8 +7,6 @@ and it ties the quantile function to the two-valued density inverse
 through a simple algebraic identity that is checked here numerically.
 """
 
-from __future__ import annotations
-
 import math
 
 from . import lambertw

@@ -17,8 +17,6 @@ cancel. Away from the branch point w0 and wm1 take Halley's method in z,
 except wm1 at subnormal z, which is solved in ln(-z).
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from enum import Enum

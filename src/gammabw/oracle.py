@@ -11,8 +11,6 @@ to float resolution, also where the crossings merge at the peak. Used by
 the test suite and by the CLI --verify mode.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from collections.abc import Callable

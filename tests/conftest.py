@@ -1,7 +1,6 @@
-"""Shared fixtures and helpers: the golden-file manifest used by the CLI
-tests, the acceptance gate, and scripts/make_goldens.py; a call counter for
-machine-independent work counts; the relative error; and the mpmath
-reference for a cut, which the test modules import from here."""
+"""Shared fixtures and helpers: a call counter for machine-independent work
+counts, the relative error, and the mpmath reference for a cut, which the
+test modules import from here. The golden-file manifest is in goldens.py."""
 
 import pytest
 
@@ -48,35 +47,3 @@ def count_calls(monkeypatch):
         return counts
 
     return install
-
-
-GOLDEN_INVOCATIONS = [
-    ("fwhm_a2_b1.plain", ["fwhm", "--a", "2", "--b", "1"]),
-    ("fwhm_a2_b1.csv", ["fwhm", "--a", "2", "--b", "1", "--format", "csv"]),
-    ("fwhm_a2_b1.json", ["fwhm", "--a", "2", "--b", "1", "--format", "json"]),
-    ("fwhm_a3_b2_y025.plain", ["fwhm", "--a", "3", "--b", "2", "--y", "0.25"]),
-    ("fwhm_a1_b1.json", ["fwhm", "--a", "1", "--b", "1", "--format", "json"]),
-    (
-        "fwhm_verify_a2_b1.csv",
-        ["fwhm", "--a", "2", "--b", "1", "--verify", "--format", "csv"],
-    ),
-    ("octave_a2_b1.csv", ["octave", "--a", "2", "--b", "1", "--format", "csv"]),
-    ("octave_a2_b1.json", ["octave", "--a", "2", "--b", "1", "--format", "json"]),
-    ("octave_a2_b1.plain", ["octave", "--a", "2", "--b", "1"]),
-    (
-        "curve_a3_b2_n5.csv",
-        ["curve", "--a", "3", "--b", "2", "--n", "5", "--xmax", "8", "--format", "csv"],
-    ),
-    (
-        "curve_a3_b2_n5.json",
-        ["curve", "--a", "3", "--b", "2", "--n", "5", "--xmax", "8", "--format", "json"],
-    ),
-    (
-        "compare_2_100_p5.csv",
-        ["compare", "--a-min", "2", "--a-max", "100", "--points", "5", "--format", "csv"],
-    ),
-    (
-        "compare_2_100_p5.json",
-        ["compare", "--a-min", "2", "--a-max", "100", "--points", "5", "--format", "json"],
-    ),
-]

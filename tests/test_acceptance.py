@@ -161,7 +161,7 @@ def test_c8_invariance_suite():
 
 
 def test_c9_cli_goldens_and_verify(capsys):
-    from conftest import GOLDEN_INVOCATIONS
+    from goldens import GOLDEN_INVOCATIONS
 
     for name, argv in GOLDEN_INVOCATIONS:
         code = cli.main(argv)

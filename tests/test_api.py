@@ -39,3 +39,21 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
     where, loaded = done.stdout.splitlines()
     assert Path(where).resolve().parent.parent == root
     assert {"dataclasses", "inspect", "typing"}.isdisjoint(loaded.split())
+
+
+def test_cli_loads_json_only_when_writing_json():
+    # one fresh interpreter: the imports load neither json nor __future__,
+    # then a --format json run loads json on demand and writes the golden
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import gammabw, gammabw.cli; "
+        "sys.stderr.write(' '.join(sorted(sys.modules))); "
+        "sys.exit(gammabw.cli.main(['fwhm', '--a', '2', '--b', '1', '--format', 'json']))"
+    )
+    root = Path(gammabw.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(root)],
+        capture_output=True, check=True,
+    )
+    assert {"json", "__future__"}.isdisjoint(done.stderr.decode().split())
+    golden = Path(__file__).resolve().parent / "golden" / "fwhm_a2_b1.json"
+    assert done.stdout == golden.read_bytes()

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import GOLDEN_INVOCATIONS
+from goldens import GOLDEN_INVOCATIONS
 
 from gammabw import cli, lambertw
 from gammabw.bandwidth import ShapeScale, approx_proportional_error, fwhm, fwym
