@@ -11,7 +11,7 @@ approximation to the FWHM together with its overshoot.
 """
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable
 
 from . import lambertw
 
@@ -242,20 +242,20 @@ def gamma_pdf(x: float, params: ShapeScale) -> float:
     return _density(x, a - 1.0, b, lgamma_a, a_log_b)
 
 
-def gamma_pdf_values(xs: Sequence[float], params: ShapeScale) -> list[float]:
+def gamma_pdf_values(xs: Iterable[float], params: ShapeScale) -> list[float]:
     """[gamma_pdf(x, params) for x in xs], bit for bit and with the same
-    ValueError, but with lgamma(a) and a*ln(b) computed once for the grid."""
+    ValueError, but with lgamma(a) and a*ln(b) computed once for the grid.
+    xs is read once, so it may be an iterator."""
     try:
         lgamma_a, a_log_b = _log_normaliser(params)
     except ValueError:
         return [gamma_pdf(x, params) for x in xs]
     a1, b = params.a - 1.0, params.b
-    origin = 1.0 / b if params.a == 1.0 else 0.0
-    # min() and sum() screen the grid in C; a negative, NaN or infinite x,
-    # or an infinite origin, sends it through gamma_pdf point by point.
-    if not (math.isfinite(origin) and min(xs, default=0.0) >= 0.0 and math.isfinite(sum(xs))):
-        return [gamma_pdf(x, params) for x in xs]
-    return [_density(x, a1, b, lgamma_a, a_log_b) if x else origin for x in xs]
+    # gamma_pdf gives the value at the origin and the error of a bad x
+    return [
+        _density(x, a1, b, lgamma_a, a_log_b) if 0.0 < x < math.inf else gamma_pdf(x, params)
+        for x in xs
+    ]
 
 
 def gamma_shaped(x: float, spec: GammaShapeSpec) -> float:
@@ -309,7 +309,10 @@ def inverse_pdf(p: float, params: ShapeScale, branch: Branch) -> float:
     # a and tiny p neither overflow nor lose the lead digits; r > 0 is a
     # level at the maximum, up to rounding: the branch point.
     r = min((math.log(p) + lgamma_a + a_log_b) / (a - 1.0) - math.log(m) + 1.0, 0.0)
-    x = lambertw._cut(r, m)[0 if branch is Branch.PRINCIPAL else 1]
+    if branch is Branch.PRINCIPAL:
+        x = lambertw._cut(r, m)[0]
+    else:
+        x = m - m * lambertw._secondary(r)  # _cut's high crossing, one branch solved
     if not math.isfinite(x):
         raise _overflow_error(f"abscissa of the density level {p!r} of {params!r}")
     return x
@@ -405,7 +408,7 @@ def _asymptotic_error(a: float) -> float:
 
 
 def gaussian_comparison(
-    shapes: Sequence[float],
+    shapes: Iterable[float],
 ) -> tuple[list[float], list[float], list[float]]:
     """Unit-scale FWHM, normal-curve estimate and proportional error of
     each shape in a sweep, as three lists.
@@ -413,39 +416,29 @@ def gaussian_comparison(
     For each a they equal fwhm(ShapeScale(a, 1)).width,
     gaussian_fwhm_approx(ShapeScale(a, 1)) and
     approx_proportional_error(ShapeScale(a, 1)) bit for bit, and a bad
-    shape raises the same ValueError; but each row is one cut of the
-    Lambert kernel, with no ShapeScale or WidthResult built. The error is
-    gaussian/fwhm - 1 up to a = _ASYMPTOTIC_SHAPE and _asymptotic_error(a)
-    above it.
+    shape raises the same ValueError; but a row with a > 1 is one cut of
+    the Lambert kernel, with no ShapeScale or WidthResult built. The error
+    is gaussian/fwhm - 1 up to a = _ASYMPTOTIC_SHAPE and _asymptotic_error(a)
+    above it. shapes is read once, so it may be an iterator.
     """
-    # min() and sum() screen the sweep in C; a shape below 1, NaN or
-    # infinite sends it through fwhm shape by shape, which raises the
-    # error of the first bad one (a sum that only overflows raises none).
-    if not (min(shapes, default=1.0) >= 1.0 and math.isfinite(sum(shapes))):
-        for a in shapes:
-            fwhm(ShapeScale(a, 1.0))
     cut = lambertw._cut
-    widths = []
+    widths, gaussians, errors = [], [], []
     for a in shapes:
-        if a == 1.0:
-            widths.append(-_LN_HALF)  # the exponential case of fwym
-            continue
         a1 = a - 1.0  # the mode; b = 1 makes every product with b exact
-        x_low, x_high, diff = cut(_LN_HALF / a1, a1)
-        width = a1 * diff
-        # WidthResult's checks: finite x_high and width, crossings that
-        # straddle the mode, a nonnegative width (NaN fails every test).
-        if not (x_low <= a1 <= x_high < math.inf and 0.0 <= width < math.inf):
-            width = fwhm(ShapeScale(a, 1.0)).width  # raises fwhm's error
+        if a1 > 0.0:
+            x_low, x_high, diff = cut(_LN_HALF / a1, a1)
+            width = a1 * diff
+        # a = 1, a rejected shape or a row failing WidthResult's checks
+        # (finite x_high and width, crossings that straddle the mode, a
+        # nonnegative width; NaN fails every test): fwhm gives the width
+        # or raises its error
+        if not (a1 > 0.0 and x_low <= a1 <= x_high < math.inf and 0.0 <= width < math.inf):
+            width = fwhm(ShapeScale(a, 1.0)).width
+        # finite for every finite a, whose square root is below 1.4e154
+        gaussian = _GAUSS_FWHM_UNIT_SIGMA * math.sqrt(a)
         widths.append(width)
-    # finite for every finite a, whose square root is below 1.4e154
-    gaussians = [_GAUSS_FWHM_UNIT_SIGMA * math.sqrt(a) for a in shapes]
-    errors = [g / w - 1.0 for g, w in zip(gaussians, widths)]
-    # max() screens the sweep in C, so one below the cut pays nothing more
-    if max(shapes, default=1.0) > _ASYMPTOTIC_SHAPE:
-        for i, a in enumerate(shapes):
-            if a > _ASYMPTOTIC_SHAPE:
-                errors[i] = _asymptotic_error(a)
+        gaussians.append(gaussian)
+        errors.append(_asymptotic_error(a) if a > _ASYMPTOTIC_SHAPE else gaussian / width - 1.0)
     return widths, gaussians, errors
 
 

@@ -99,14 +99,17 @@ def _emit_table(
 def _oracle_width(params: ShapeScale, y: float) -> float:
     if y == 1.0:
         return 0.0
-    if params.a == 1.0:
+    a = params.a
+    if a == 1.0:
         # Exponential case: the level equation exp(-x/b) = y is solved
         # algebraically; the bracketing oracle needs an interior maximum.
         return -params.b * math.log(y)
-    # Shifted by the mode, the crossings are the mode times the two offsets
-    # from it, of opposite signs, so their difference does not cancel.
-    lo, hi = oracle_crossings(GammaShapeSpec(params, s=mode(params)), y)
-    return hi - lo
+    # Solved at unit scale, where the mode a-1 cannot underflow as (a-1)*b
+    # can, and scaled by b once. Shifted by the mode, the crossings are the
+    # mode times the two offsets from it, of opposite signs, so their
+    # difference does not cancel.
+    lo, hi = oracle_crossings(GammaShapeSpec(ShapeScale(a, 1.0), s=a - 1.0), y)
+    return (hi - lo) * params.b
 
 
 def _cmd_fwhm(args: argparse.Namespace) -> int:
@@ -121,7 +124,9 @@ def _cmd_fwhm(args: argparse.Namespace) -> int:
     code = EXIT_OK
     if args.verify:
         ow = _oracle_width(params, args.y)
-        rel = 0.0 if res.width == ow else abs(res.width - ow) / abs(ow)
+        rel = abs(res.width - ow) / ow if 0.0 < ow < math.inf else math.inf
+        if res.width == ow:  # a zero width also matches a zero oracle width
+            rel = 0.0
         fields.append(("oracle_width", ow))
         fields.append(("relative_discrepancy", rel))
         if rel > _VERIFY_REL_TOL:

@@ -278,6 +278,17 @@ class TestGammaPdfValues:
         with pytest.raises(ValueError, match=r"got -2\.0"):
             gamma_pdf_values([1.0, -2.0, math.nan, -3.0], ShapeScale(2.0, 1.0))
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_iterator_grid_reads_once(self, seed):
+        # a generator gives the values of the list, each x read once
+        for params, xs in seeded_density_grids(seed):
+            want = [v.hex() for v in gamma_pdf_values(xs, params)]
+            assert [v.hex() for v in gamma_pdf_values((x for x in xs), params)] == want
+        assert gamma_pdf_values((x for x in [1.0, 2.0]), ShapeScale(3.0, 2.0)) == [
+            gamma_pdf(1.0, ShapeScale(3.0, 2.0)),
+            gamma_pdf(2.0, ShapeScale(3.0, 2.0)),
+        ]
+
 
 class TestGammaShaped:
     def test_direct_value(self):
@@ -740,6 +751,21 @@ class TestGaussianComparison:
         with pytest.raises(ValueError, match=r"got 0\.5"):
             gaussian_comparison([2.0, 0.5, math.nan, -3.0])
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_iterator_sweep_reads_once(self, seed):
+        # a generator gives the lists of the list input, each shape read once
+        shapes = seeded_shapes(seed) + [1.0]
+        want = [[v.hex() for v in column] for column in gaussian_comparison(shapes)]
+        got = gaussian_comparison(a for a in shapes)
+        assert [[v.hex() for v in column] for column in got] == want
+
+    def test_iterator_sweep_rejects_like_fwhm(self):
+        with pytest.raises(ValueError) as want:
+            fwhm(ShapeScale(0.5, 1.0))
+        with pytest.raises(ValueError) as got:
+            gaussian_comparison(iter([2.0, 0.5]))
+        assert str(got.value) == str(want.value)
+
     def test_row_failing_a_check_raises_fwhm_error(self, monkeypatch):
         # a kernel result that breaks WidthResult's checks is re-run
         # through fwhm, which raises; the rows before it are not affected
@@ -867,6 +893,17 @@ class TestWorkCounts:
         call()
         assert counts == {"_offsets": 1, "w0": 0, "wm1": 0}
         assert solves == []
+
+    @pytest.mark.parametrize(
+        "branch,want",
+        [(Branch.PRINCIPAL, [False, True]), (Branch.SECONDARY, [False])],
+        ids=["principal", "secondary"],
+    )
+    def test_inverse_pdf_solves_only_its_branch_above_half(self, solves, branch, want):
+        # 0.1 of the maximum of ShapeScale(3, 1): q = 0.68; the secondary
+        # branch takes its d-form solve and no v-form solve of the principal
+        inverse_pdf(0.1 * P_MAX_A3, ShapeScale(3.0, 1.0), branch)
+        assert solves == want
 
     def test_log_form_cut_skips_wm1(self, count_calls):
         # W0(z) = z there, and the secondary branch is solved in log form

@@ -236,6 +236,27 @@ class TestVerify:
         assert cli.main(argv) == 0
         assert json.loads(capsys.readouterr().out)["relative_discrepancy"] <= 1e-15
 
+    @pytest.mark.parametrize(
+        "a,b,y",
+        [
+            ("1.0000000000000002", "1e-320", "1.540484830175479e-28"),
+            ("1.5", "5e-324", "0.5"),
+            ("1.0000000000000002", "1e-310", "0.5"),
+            ("1.001", "1e-320", "0.5"),
+        ],
+    )
+    def test_underflowing_mode_cuts_pass(self, capsys, a, b, y):
+        # (a-1)*b is 0 or a few subnormal ulps: the oracle is solved at unit
+        # scale and its width multiplied by b
+        argv = ["fwhm", "--a", a, "--b", b, "--y", y, "--verify", "--format", "json"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["oracle_width"] > 0.0
+
+    def test_zero_oracle_width_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_oracle_width", lambda params, y: 0.0)
+        assert cli.main(["fwhm", "--a", "2", "--b", "1", "--verify"]) == 3
+        assert "verification failed" in capsys.readouterr().err
+
     def test_failure_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_oracle_width", lambda params, y: 999.0)
         assert cli.main(["fwhm", "--a", "2", "--b", "1", "--verify"]) == 3
