@@ -11,6 +11,7 @@ approximation to the FWHM together with its overshoot.
 """
 
 import math
+import sys
 from collections.abc import Iterable
 
 from . import lambertw
@@ -40,6 +41,7 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _LN_HALF = math.log(0.5)
+_DBL_MIN = sys.float_info.min
 
 # FWHM of a unit-variance normal curve.
 _GAUSS_FWHM_UNIT_SIGMA = 2.0 * math.sqrt(2.0 * _LN2)
@@ -267,8 +269,17 @@ def gamma_shaped(x: float, spec: GammaShapeSpec) -> float:
     a, b = spec.params.a, spec.params.b
     if xp == 0.0:
         return spec.K if a == 1.0 else 0.0
-    # zero normaliser terms give the unnormalised shape (x - 0.0 is exact)
-    value = spec.K * _density(xp, a - 1.0, b, 0.0, 0.0)
+    e = (a - 1.0) * math.log(xp) - xp / b
+    try:
+        g = math.exp(e)
+    except OverflowError:
+        g = math.inf
+    try:
+        # exp(e) alone overflows or is subnormal where K * exp(e) can still
+        # be a normal double: there ln K joins the exponent
+        value = spec.K * g if _DBL_MIN <= g < math.inf else math.exp(e + math.log(spec.K))
+    except OverflowError:
+        value = math.inf
     if not math.isfinite(value):
         raise _overflow_error(f"gamma-shaped function of {spec!r} at x={x!r}")
     return value

@@ -123,9 +123,15 @@ def _secondary(r: float) -> float:
 
 def _halley(w: float, z: float) -> float:
     """Halley's method on w*exp(w) = z from a guess w on the wanted branch,
-    away from the branch point, until a step is below 4 ulps of w."""
+    away from the branch point, until a step is below 4 ulps of w. Above
+    z = 1e300, exp(w) and z are taken at 2**-64 of their size: unscaled,
+    the step's terms overflow from about z = 2.76e307, and scaled by a power
+    of two every operation rounds alike, so each step is the same where
+    they do not."""
+    scale = 2.0**-64 if z > 1e300 else 1.0
+    z *= scale
     for _ in range(_MAX_ITER):
-        ew = math.exp(w)
+        ew = math.exp(w) * scale
         f = w * ew - z
         dw = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
         w -= dw

@@ -180,13 +180,9 @@ def oracle_crossings(spec: GammaShapeSpec, y: float) -> tuple[float, float]:
 
 
 def oracle_median_a2(b: float) -> float:
-    """Median of Gamma(2, b) by bisecting the CDF against 1/2 on
-    [0, 10*b], capped at the largest double. Raises ValueError when the
-    median lies beyond it, that is, overflows double precision."""
-    if not math.isfinite(b):
-        raise ValueError(f"scale parameter b must be finite, got {b!r}")
-    if not b > 0.0:
-        raise ValueError(f"scale parameter b must be positive, got {b!r}")
+    """Median of Gamma(2, b) by bisecting the CDF against 1/2 on [0, 10*b],
+    capped at the largest double. Raises ValueError for a b that cdf_a2
+    rejects, and when the median lies beyond the cap (overflows double precision)."""
     # Bisect u = x/2, so that the bracket ends never sum past the largest
     # double; halving is exact, so the steps are those of bisecting x.
     hi = min(5.0 * b, 0.5 * sys.float_info.max)

@@ -319,6 +319,28 @@ class TestGammaShaped:
     def test_far_tail_underflows_to_zero(self):
         assert gamma_shaped(1e300, GammaShapeSpec(ShapeScale(3.0, 2.0))) == 0.0
 
+    def test_value_at_the_shifted_origin(self):
+        # x + s == 0: the exponential shape is K there, a peaked one 0
+        assert gamma_shaped(-2.0, GammaShapeSpec(ShapeScale(1.0, 3.0), K=2.5, s=2.0)) == 2.5
+        assert gamma_shaped(-2.0, GammaShapeSpec(ShapeScale(3.0, 3.0), K=2.5, s=2.0)) == 0.0
+
+    @pytest.mark.parametrize(
+        "x,a,K",
+        [
+            (199.0, 200.0, 1e-300),  # exp(e) overflows, the value is 1.1e71
+            (1000.0, 3.0, 1e300),  # exp(e) underflows to 0, the value is 5.1e-129
+            (735.0, 3.0, 1e200),  # exp(e) is a subnormal of 9 digits
+        ],
+    )
+    def test_amplitude_rescues_the_exponential_against_mpmath(self, x, a, K):
+        # |e| = |(a-1)*ln(x) - x/b| is 700 to 1000 here, and its rounding
+        # sets the floor of the error: 8.1e-14 at worst on these cuts
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            want = mp.mpf(K) * mp.mpf(x) ** (mp.mpf(a) - 1) * mp.exp(-mp.mpf(x))
+            got = gamma_shaped(x, GammaShapeSpec(ShapeScale(a, 1.0), K=K))
+            assert float(abs(got - want) / want) < 1e-13
+
 
 class TestInversePdf:
     @pytest.mark.parametrize(

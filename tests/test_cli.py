@@ -227,11 +227,16 @@ class TestVerify:
             ("3", "2", "0.9999999999"),
             ("3", "2", "0.9999999999999999"),
             ("1000", "1", "0.9999999999999999"),
+            # q = 0.134, 1.001e-3 and 0.134 (y = 3.7e-22) below the peak,
+            # where the offsets come from the polynomial in s
+            ("3", "2", "0.75"),
+            ("3", "1", "0.997999002001"),
+            ("344.26743150597076", "1", "3.692834310546129e-22"),
         ],
     )
     def test_near_peak_cuts_pass(self, capsys, a, b, y):
         # the oracle solves for the offsets from the mode, so it stays exact
-        # where the two crossings merge
+        # where the two crossings merge, and as tight on the polynomial's cuts
         argv = ["fwhm", "--a", a, "--b", b, "--y", y, "--verify", "--format", "json"]
         assert cli.main(argv) == 0
         assert json.loads(capsys.readouterr().out)["relative_discrepancy"] <= 1e-15

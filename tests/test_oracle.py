@@ -230,9 +230,13 @@ class TestOracleMedian:
             (math.inf, "scale parameter b must be finite, got inf"),
             (math.nan, "scale parameter b must be finite, got nan"),
             (0.0, "scale parameter b must be positive, got 0.0"),
+            (-math.inf, "scale parameter b must be finite, got -inf"),
+            (-0.0, "scale parameter b must be positive, got -0.0"),
+            (-1.0, "scale parameter b must be positive, got -1.0"),
         ],
     )
     def test_scale_messages(self, b, message):
+        # cdf_a2 checks the scale first, so these are its messages
         with pytest.raises(ValueError) as exc:
             oracle_median_a2(b)
         assert str(exc.value) == message
