@@ -13,11 +13,11 @@ a single header row, json is one object with shortest round-trip floats,
 plain is one value per line.
 """
 
-import argparse
 import functools
 import math
 import sys
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 # approx_proportional_error and gamma_pdf are not called here; they stay
 # importable from this module, where benchmarks/tracing.py wraps them.
@@ -43,9 +43,6 @@ EXIT_VERIFY = 3
 
 _FORMATS = ("csv", "json", "plain")
 _VERIFY_REL_TOL = 1e-8
-# Options whose value is a float: a value after one of them that starts
-# with "-" and parses as a float is joined to it (see _join_float_values).
-_FLOAT_OPTIONS = frozenset({"--a", "--b", "--y", "--xmax", "--a-min", "--a-max"})
 # Rows of a csv or plain table formatted by one %-operation and written
 # with one write. Larger blocks run no faster, and from about 4096 rows
 # their strings raise the peak RSS of a large table.
@@ -112,7 +109,7 @@ def _oracle_width(params: ShapeScale, y: float) -> float:
     return (hi - lo) * params.b
 
 
-def _cmd_fwhm(args: argparse.Namespace) -> int:
+def _cmd_fwhm(args: SimpleNamespace) -> int:
     params = ShapeScale(args.a, args.b)
     res = fwym(params, args.y)
     fields = [
@@ -140,7 +137,7 @@ def _cmd_fwhm(args: argparse.Namespace) -> int:
     return code
 
 
-def _cmd_octave(args: argparse.Namespace) -> int:
+def _cmd_octave(args: SimpleNamespace) -> int:
     params = ShapeScale(args.a, args.b)
     res = octave_bandwidth(params, args.y)
     _emit_record(
@@ -150,7 +147,7 @@ def _cmd_octave(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_curve(args: argparse.Namespace) -> int:
+def _cmd_curve(args: SimpleNamespace) -> int:
     params = ShapeScale(args.a, args.b)
     if args.n < 2:
         raise ValueError(f"curve needs at least 2 grid points, got {args.n}")
@@ -176,7 +173,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: SimpleNamespace) -> int:
     a_min, a_max, n = args.a_min, args.a_max, args.points
     if not (math.isfinite(a_min) and math.isfinite(a_max)):
         raise ValueError(f"a_min and a_max must be finite, got {a_min!r}, {a_max!r}")
@@ -201,67 +198,129 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# The options of the subcommands, as (flag, dest, type, default, required,
+# choices, help). The type is float or int for a value that it converts,
+# None for a string from choices, or bool for a flag that takes no value
+# and stores True. _build_parser and _plain_args both read _COMMANDS.
+_A = ("--a", "a", float, None, True, None, "shape parameter")
+_B = ("--b", "b", float, None, True, None, "scale parameter")
+_Y = ("--y", "y", float, 0.5, False, None, "proportion of the maximum (default 0.5)")
+_VERIFY = (
+    "--verify", "verify", bool, False, False, None,
+    "cross-check the width against the crossing oracle",
+)
+_N = ("--n", "n", int, 512, False, None, "number of grid points")
+_XMAX = ("--xmax", "xmax", float, None, False, None, "grid upper end (default: mode + 8*b*sqrt(a))")
+_A_MIN = ("--a-min", "a_min", float, None, True, None, "smallest shape (> 1)")
+_A_MAX = ("--a-max", "a_max", float, None, True, None, "largest shape")
+_POINTS = ("--points", "points", int, 200, False, None, "number of log-spaced shapes")
+_FORMAT = ("--format", "format", None, "plain", False, _FORMATS, "output format")
+# subcommand: (handler, help, options in the order its help lists them)
+_COMMANDS = {
+    "fwhm": (
+        _cmd_fwhm, "full width at a proportion of the maximum", (_A, _B, _Y, _VERIFY, _FORMAT)
+    ),
+    "octave": (_cmd_octave, "crossing ratio in octaves", (_A, _B, _Y, _FORMAT)),
+    "curve": (_cmd_curve, "sampled density with width annotations", (_A, _B, _N, _XMAX, _FORMAT)),
+    "compare": (
+        _cmd_compare, "exact width versus normal-curve estimate", (_A_MIN, _A_MAX, _POINTS, _FORMAT)
+    ),
+}
+# subcommand: (handler, {flag: option}), for _plain_args
+_PLAIN = {
+    command: (func, {option[0]: option for option in options})
+    for command, (func, _, options) in _COMMANDS.items()
+}
+# Options whose value is a float: a value after one of them that starts
+# with "-" and parses as a float is joined to it (see _join_float_values).
+_FLOAT_OPTIONS = frozenset(
+    option[0]
+    for _, _, options in _COMMANDS.values()
+    for option in options
+    if option[2] is float
+)
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parse_args keeps no state in it."""
+def _build_parser():
+    """The argparse.ArgumentParser, built once per process: parse_args
+    keeps no state in it. Only argv that _plain_args leaves reach it, so
+    argparse is imported here, not at the top."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="gammabw",
         description="Exact widths of gamma-shaped functions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def shape_scale_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--a", type=float, required=True, help="shape parameter")
-        p.add_argument("--b", type=float, required=True, help="scale parameter")
-
-    def format_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format", choices=_FORMATS, default="plain", help="output format"
-        )
-
-    p = sub.add_parser("fwhm", help="full width at a proportion of the maximum")
-    shape_scale_args(p)
-    p.add_argument(
-        "--y", type=float, default=0.5, help="proportion of the maximum (default 0.5)"
-    )
-    p.add_argument(
-        "--verify",
-        action="store_true",
-        help="cross-check the width against the crossing oracle",
-    )
-    format_arg(p)
-    p.set_defaults(func=_cmd_fwhm)
-
-    p = sub.add_parser("octave", help="crossing ratio in octaves")
-    shape_scale_args(p)
-    p.add_argument(
-        "--y", type=float, default=0.5, help="proportion of the maximum (default 0.5)"
-    )
-    format_arg(p)
-    p.set_defaults(func=_cmd_octave)
-
-    p = sub.add_parser("curve", help="sampled density with width annotations")
-    shape_scale_args(p)
-    p.add_argument("--n", type=int, default=512, help="number of grid points")
-    p.add_argument(
-        "--xmax",
-        type=float,
-        default=None,
-        help="grid upper end (default: mode + 8*b*sqrt(a))",
-    )
-    format_arg(p)
-    p.set_defaults(func=_cmd_curve)
-
-    p = sub.add_parser("compare", help="exact width versus normal-curve estimate")
-    p.add_argument("--a-min", type=float, required=True, help="smallest shape (> 1)")
-    p.add_argument("--a-max", type=float, required=True, help="largest shape")
-    p.add_argument(
-        "--points", type=int, default=200, help="number of log-spaced shapes"
-    )
-    format_arg(p)
-    p.set_defaults(func=_cmd_compare)
-
+    for command, (func, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag, dest, kind, default, required, choices, text in options:
+            if kind is bool:
+                p.add_argument(flag, dest=dest, action="store_true", help=text)
+            else:
+                p.add_argument(
+                    flag, dest=dest, type=kind, default=default, required=required,
+                    choices=choices, help=text,
+                )
+        p.set_defaults(func=func)
     return parser
+
+
+def _plain_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The attributes argparse gives a plainly spelled argv, or None.
+
+    Plain is: the subcommand exactly, then each of its own options spelled
+    in full and given once, as "--opt value" or "--opt=value", with every
+    required one present. A float value is one float() takes, "-inf" too,
+    which argparse gets joined to its option (see _join_float_values). An
+    int value is one int() takes that does not start with "-": argparse
+    reads "-1_0" as a flag. A choice is one of its choices, and a flag
+    carries no "=value". Anything else, help and every usage error among
+    it, is left to argparse.
+    """
+    plain = _PLAIN.get(argv[0]) if argv else None
+    if plain is None:
+        return None
+    func, options = plain
+    given: dict[str, object] = {}
+    i, n = 1, len(argv)
+    while i < n:
+        flag, eq, value = argv[i].partition("=")
+        i += 1
+        option = options.get(flag)
+        if option is None:
+            return None
+        _, dest, kind, _, _, choices, _ = option
+        if dest in given:
+            return None
+        if kind is bool:
+            if eq:
+                return None
+            given[dest] = True
+            continue
+        if not eq:
+            if i == n:
+                return None
+            value = argv[i]
+            i += 1
+        if kind is None:
+            if value not in choices:
+                return None
+        elif kind is int and value.startswith("-"):
+            return None
+        else:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        given[dest] = value
+    for _, dest, _, default, required, _, _ in options.values():
+        if dest not in given:
+            if required:
+                return None
+            given[dest] = default
+    return SimpleNamespace(command=argv[0], func=func, **given)
 
 
 def _is_float(text: str) -> bool:
@@ -289,9 +348,11 @@ def _join_float_values(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(
-        _join_float_values(sys.argv[1:] if argv is None else argv)
-    )
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv)
+    if args is None:
+        args = _build_parser().parse_args(_join_float_values(argv), SimpleNamespace())
     try:
         return args.func(args)
     except ValueError as exc:

@@ -57,3 +57,23 @@ def test_cli_loads_json_only_when_writing_json():
     assert {"json", "__future__"}.isdisjoint(done.stderr.decode().split())
     golden = Path(__file__).resolve().parent / "golden" / "fwhm_a2_b1.json"
     assert done.stdout == golden.read_bytes()
+
+
+def test_cli_loads_argparse_only_for_other_spellings():
+    # one fresh interpreter: a plainly spelled --verify run parses without
+    # argparse, then the same run abbreviated loads it and writes the same
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import gammabw.cli; "
+        "argv = ['fwhm', '--a', '2', '--b', '1', '--verify', '--format', 'csv']; "
+        "first = gammabw.cli.main(argv); loaded = 'argparse' in sys.modules; "
+        "argv[5] = '--verif'; second = gammabw.cli.main(argv); "
+        "sys.stderr.write(f'{first} {loaded} {second} {\"argparse\" in sys.modules}')"
+    )
+    root = Path(gammabw.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(root)],
+        capture_output=True, check=True,
+    )
+    assert done.stderr.decode() == "0 False 0 True"
+    golden = Path(__file__).resolve().parent / "golden" / "fwhm_verify_a2_b1.csv"
+    assert done.stdout == 2 * golden.read_bytes()

@@ -1,12 +1,18 @@
+import ast
+import contextlib
+import io
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 from goldens import GOLDEN_INVOCATIONS
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammabw import cli, lambertw
 from gammabw.bandwidth import ShapeScale, approx_proportional_error, fwhm, fwym
@@ -208,6 +214,28 @@ class TestNonFiniteParameters:
         assert "expected one argument" in capsys.readouterr().err
 
 
+NEAR_PEAK_CUTS = [
+    ("3", "2", "0.9999999999"),
+    ("3", "2", "0.9999999999999999"),
+    ("1000", "1", "0.9999999999999999"),
+    # q = 0.134, 1.001e-3 and 0.134 (y = 3.7e-22) below the peak,
+    # where the offsets come from the polynomial in s
+    ("3", "2", "0.75"),
+    ("3", "1", "0.997999002001"),
+    ("344.26743150597076", "1", "3.692834310546129e-22"),
+]
+UNDERFLOWING_MODE_CUTS = [
+    ("1.0000000000000002", "1e-320", "1.540484830175479e-28"),
+    ("1.5", "5e-324", "0.5"),
+    ("1.0000000000000002", "1e-310", "0.5"),
+    ("1.001", "1e-320", "0.5"),
+]
+
+
+def verify_argv(a, b, y):
+    return ["fwhm", "--a", a, "--b", b, "--y", y, "--verify", "--format", "json"]
+
+
 class TestVerify:
     def test_passes_and_emits_discrepancy(self, capsys):
         assert cli.main(["fwhm", "--a", "2", "--b", "1", "--verify", "--format", "json"]) == 0
@@ -221,40 +249,18 @@ class TestVerify:
         assert cli.main(["fwhm", "--a", "1", "--b", "2", "--verify"]) == 0
         capsys.readouterr()
 
-    @pytest.mark.parametrize(
-        "a,b,y",
-        [
-            ("3", "2", "0.9999999999"),
-            ("3", "2", "0.9999999999999999"),
-            ("1000", "1", "0.9999999999999999"),
-            # q = 0.134, 1.001e-3 and 0.134 (y = 3.7e-22) below the peak,
-            # where the offsets come from the polynomial in s
-            ("3", "2", "0.75"),
-            ("3", "1", "0.997999002001"),
-            ("344.26743150597076", "1", "3.692834310546129e-22"),
-        ],
-    )
+    @pytest.mark.parametrize("a,b,y", NEAR_PEAK_CUTS)
     def test_near_peak_cuts_pass(self, capsys, a, b, y):
         # the oracle solves for the offsets from the mode, so it stays exact
         # where the two crossings merge, and as tight on the polynomial's cuts
-        argv = ["fwhm", "--a", a, "--b", b, "--y", y, "--verify", "--format", "json"]
-        assert cli.main(argv) == 0
+        assert cli.main(verify_argv(a, b, y)) == 0
         assert json.loads(capsys.readouterr().out)["relative_discrepancy"] <= 1e-15
 
-    @pytest.mark.parametrize(
-        "a,b,y",
-        [
-            ("1.0000000000000002", "1e-320", "1.540484830175479e-28"),
-            ("1.5", "5e-324", "0.5"),
-            ("1.0000000000000002", "1e-310", "0.5"),
-            ("1.001", "1e-320", "0.5"),
-        ],
-    )
+    @pytest.mark.parametrize("a,b,y", UNDERFLOWING_MODE_CUTS)
     def test_underflowing_mode_cuts_pass(self, capsys, a, b, y):
         # (a-1)*b is 0 or a few subnormal ulps: the oracle is solved at unit
         # scale and its width multiplied by b
-        argv = ["fwhm", "--a", a, "--b", b, "--y", y, "--verify", "--format", "json"]
-        assert cli.main(argv) == 0
+        assert cli.main(verify_argv(a, b, y)) == 0
         assert json.loads(capsys.readouterr().out)["oracle_width"] > 0.0
 
     def test_zero_oracle_width_exits_3(self, capsys, monkeypatch):
@@ -465,3 +471,172 @@ class TestParserReuse:
             for name, argv in invocations:
                 assert cli.main(argv) == 0
                 assert capsys.readouterr().out.encode() == (GOLDEN_DIR / name).read_bytes(), name
+
+
+def argparse_attrs(argv):
+    """vars() of argparse's parse of argv, each value by repr so that NaN
+    equals NaN, or None where argparse exits."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            parsed = cli._build_parser().parse_args(cli._join_float_values(argv))
+        except SystemExit:
+            return None
+    return {name: repr(value) for name, value in vars(parsed).items()}
+
+
+def plain_attrs(argv):
+    """The plain path's parse of argv in argparse_attrs' form, or None."""
+    parsed = cli._plain_args(argv)
+    if parsed is None:
+        return None
+    return {name: repr(value) for name, value in vars(parsed).items()}
+
+
+def argvs_of_this_file():
+    """Every argv written out in this module, a list of strings that starts
+    with a subcommand, and every argv that its tests build from their
+    parameters, each once."""
+    tree = ast.parse(Path(__file__).read_text(encoding="utf-8"))
+    found = [
+        [elt.value for elt in node.elts]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.List)
+        and node.elts
+        and all(isinstance(elt, ast.Constant) and isinstance(elt.value, str) for elt in node.elts)
+        and node.elts[0].value in cli._COMMANDS
+    ]
+    found += [verify_argv(*cut) for cut in NEAR_PEAK_CUTS + UNDERFLOWING_MODE_CUTS]
+    found += [prefix + ["5"] for prefix, _, _ in TABLES.values()]
+    found += [argv + ["--format", "csv"] for argv in seeded_records(7)]
+    return list({tuple(argv): argv for argv in found}.values())
+
+
+# Spellings the plain path takes, beside the golden invocations, and the
+# spellings it leaves to argparse: abbreviations, repeats, help, "--",
+# negative ints, a value on --verify, and usage errors.
+PLAIN_SPELLINGS = [
+    "fwhm --a=-inf --b 1",
+    "fwhm --a -inf --b 1",
+    "fwhm --b=1 --a 2 --format json --y=-0.25 --verify",
+    "curve --a 3 --b 2 --n 1_0",
+    "curve --a 3 --b 2 --xmax=-3 --n=5",
+    "fwhm --a 2 --b 1 --format=csv",
+    "compare --a-min=nan --a-max -1e5 --points=7",
+]
+ARGPARSE_SPELLINGS = [
+    "fwhm --verif --a 2 --b 1",
+    "fwhm --a 2 --b 1 --form csv",
+    "compare --a-m 2 --a-max 10",
+    "fwhm --a 2 --a 3 --b 1",
+    "fwhm --a 2 --b 1 --verify --verify",
+    "curve --a 3 --b 2 --n -5",
+    "curve --a 3 --b 2 --n=-5",
+    "compare --a-min 2 --a-max 10 --points -1_0",
+    "fwhm --a 2 --b 1 --format CSV",
+    "fwhm --a 2 --b 1 --verify=1",
+    "fwhm --a 2 --b 1 --",
+    "-h",
+    "fwhm -h",
+    "",
+    "nosuch",
+    "nosuch --a 2 --b 1",
+    "fwh --a 2 --b 1",
+    "fwhm --a 2 --b",
+    "fwhm --a 2 --b 1 --y",
+]
+
+
+class TestPlainParse:
+    """main parses a plainly spelled argv itself and sends every other one
+    to argparse; what it parses itself, argparse parses alike."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [argv for _, argv in GOLDEN_INVOCATIONS] + [s.split() for s in PLAIN_SPELLINGS],
+        ids=" ".join,
+    )
+    def test_plain_spellings_match_argparse(self, argv):
+        got = plain_attrs(argv)
+        assert got is not None
+        assert got == argparse_attrs(argv)
+
+    @pytest.mark.parametrize(
+        "argv", [s.split() for s in ARGPARSE_SPELLINGS], ids=lambda argv: " ".join(argv) or "(empty)"
+    )
+    def test_other_spellings_go_to_argparse(self, argv):
+        assert cli._plain_args(argv) is None
+
+    @pytest.mark.parametrize("argv", argvs_of_this_file(), ids=" ".join)
+    def test_argvs_of_this_file(self, argv):
+        # each is spelled plainly, so the plain path takes exactly those
+        # that argparse takes
+        assert plain_attrs(argv) == argparse_attrs(argv)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_any_argv_the_plain_path_takes_argparse_takes_alike(self, data):
+        # the subcommand's required options, then its other options with
+        # values of their type or not, spelled in every way, and junk
+        command = data.draw(st.sampled_from([*cli._COMMANDS, "fw", "-h"]))
+        options = {option[0]: option for option in cli._COMMANDS.get(command, ((), (), ()))[2]}
+        typed = {
+            float: st.floats().map(repr) | st.sampled_from(["-inf", "-nan", "1_0", "-1e5", " 7"]),
+            int: st.integers(-20, 600).map(str) | st.sampled_from(["1_0", "-1_0", " 7"]),
+            None: st.sampled_from(cli._FORMATS),
+            bool: st.sampled_from(["1", ""]),
+        }
+        junk = st.one_of(st.sampled_from(["-inf", "", "CSV", "-h", "--"]), st.text(max_size=3))
+        optional = [flag for flag, option in options.items() if not option[4]]
+        flags = st.sampled_from(optional * 4 + ["--a", "--verif", "--form", "--n", "-h", "--", "-x"])
+        spellings = st.sampled_from(["--opt value"] * 3 + ["--opt=value"] * 2 + ["--opt", "value"])
+        argv = [command]
+        if data.draw(st.integers(0, 3)):
+            argv += [token for flag, option in options.items() if option[4] for token in (flag, "2")]
+        for _ in range(data.draw(st.integers(0, 3))):
+            flag = data.draw(flags)
+            kind = options[flag][2] if flag in options else float
+            value = data.draw(st.one_of(typed[kind], typed[kind], junk))
+            argv += {
+                "--opt value": [flag, value],
+                "--opt=value": [flag + "=" + value],
+                "--opt": [flag],
+                "value": [value],
+            }[data.draw(spellings)]
+        got = plain_attrs(argv)
+        if got is not None:
+            assert got == argparse_attrs(argv)
+
+
+class TestOptionTable:
+    """_build_parser and _plain_args read one table; argparse's help and
+    defaults show the table's options."""
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_help_lists_the_table(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "-h"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        usage = text.split("\n\n")[0]
+        _, _, options = cli._COMMANDS[command]
+        assert re.findall(r"^  (--[\w-]+)", text, re.M) == [option[0] for option in options]
+        for flag, _, _, _, required, choices, _ in options:
+            assert bool(re.search(rf"\[{flag}[ \]]", usage)) is not required, flag
+            if choices:
+                assert re.search(rf"^  {flag} \{{{','.join(choices)}\}}", text, re.M), flag
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_defaults_are_the_tables(self, command):
+        _, _, options = cli._COMMANDS[command]
+        argv = [command]
+        for flag, _, _, _, required, _, _ in options:
+            if required:
+                argv += [flag, "2"]
+        want = {dest: 2.0 if required else default for _, dest, _, default, required, _, _ in options}
+        parsed = vars(cli._build_parser().parse_args(argv))
+        assert {dest: parsed[dest] for dest in want} == want
+
+    def test_float_options_are_the_tables(self):
+        options = [option for _, _, options in cli._COMMANDS.values() for option in options]
+        assert cli._FLOAT_OPTIONS == {option[0] for option in options if option[2] is float}
