@@ -320,10 +320,12 @@ def inverse_pdf(p: float, params: ShapeScale, branch: Branch) -> float:
     # a and tiny p neither overflow nor lose the lead digits; r > 0 is a
     # level at the maximum, up to rounding: the branch point.
     r = min((math.log(p) + lgamma_a + a_log_b) / (a - 1.0) - math.log(m) + 1.0, 0.0)
-    if branch is Branch.PRINCIPAL:
-        x = lambertw._cut(r, m)[0]
-    else:
+    if branch is Branch.SECONDARY:
         x = m - m * lambertw._secondary(r)  # _cut's high crossing, one branch solved
+    elif r > _LN_HALF:
+        x = lambertw._cut(r, m)[0]  # below q = 1/2 both offsets come from one polynomial
+    else:
+        x = lambertw._principal(r, m)[0]  # _cut's low crossing, one branch solved
     if not math.isfinite(x):
         raise _overflow_error(f"abscissa of the density level {p!r} of {params!r}")
     return x

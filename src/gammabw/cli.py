@@ -19,10 +19,10 @@ import sys
 from collections.abc import Sequence
 from types import SimpleNamespace
 
-# approx_proportional_error and gamma_pdf are not called here; they stay
-# importable from this module, where benchmarks/tracing.py wraps them.
+# approx_proportional_error, gamma_pdf and oracle_crossings are not called
+# here; they stay importable from this module, where benchmarks/tracing.py
+# wraps them.
 from .bandwidth import (  # noqa: F401
-    GammaShapeSpec,
     ShapeScale,
     approx_proportional_error,
     fwhm,
@@ -33,7 +33,7 @@ from .bandwidth import (  # noqa: F401
     mode,
     octave_bandwidth,
 )
-from .oracle import oracle_crossings
+from .oracle import oracle_crossings, oracle_offsets  # noqa: F401
 
 __all__ = ["main"]
 
@@ -57,11 +57,23 @@ def _json_line(obj: dict) -> str:
     return json.dumps(obj) + "\n"
 
 
+def _row(fmt: str, k: int) -> str:
+    """The %-template of one csv or plain row of k floats: "%.16e" % v is
+    format(v, ".16e") and "%r" % v is repr(v)."""
+    return ",".join(["%.16e"] * k) + "\n" if fmt == "csv" else "%r\n" * k
+
+
 def _emit_record(fields: list[tuple[str, float]], fmt: str) -> None:
+    """One row, written as _emit_table writes a table of one row, by one
+    %-operation and one write."""
     if fmt == "json":
+        # json.dumps writes inf and nan as Infinity and NaN; formatting the
+        # record by hand would need a second encoder for them
         sys.stdout.write(_json_line(dict(fields)))
-    else:
-        _emit_table([(name, [value]) for name, value in fields], [], fmt)
+        return
+    names, values = zip(*fields)
+    header = ",".join(names) + "\n" if fmt == "csv" else ""
+    sys.stdout.write(header + _row(fmt, len(values)) % values)
 
 
 def _emit_table(
@@ -75,13 +87,10 @@ def _emit_table(
         obj.update(annotations)
         out.write(_json_line(obj))
         return
-    # "%.16e" % v is format(v, ".16e") and "%r" % v is repr(v).
     k = len(columns)
     if fmt == "csv":
         out.write(",".join(name for name, _ in columns) + "\n")
-        row = ",".join(["%.16e"] * k) + "\n"
-    else:
-        row = "%r\n" * k
+    row = _row(fmt, k)
     n = len(columns[0][1])
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
@@ -105,8 +114,9 @@ def _oracle_width(params: ShapeScale, y: float) -> float:
     # can, and scaled by b once. Shifted by the mode, the crossings are the
     # mode times the two offsets from it, of opposite signs, so their
     # difference does not cancel.
-    lo, hi = oracle_crossings(GammaShapeSpec(ShapeScale(a, 1.0), s=a - 1.0), y)
-    return (hi - lo) * params.b
+    a1 = a - 1.0
+    u_low, u_high = oracle_offsets(a, y)
+    return (a1 * u_high - a1 * u_low) * params.b
 
 
 def _cmd_fwhm(args: SimpleNamespace) -> int:

@@ -192,30 +192,41 @@ def wm1_from_log(m: float) -> float:
     return _secondary(min(m + 1.0, 0.0)) - 1.0
 
 
+def _principal(r: float, scale: float) -> tuple[float, float]:
+    """(-scale*W0, W0 + 1) at z = -exp(r - 1) for an unchecked r <= ln 1/2
+    (q >= 1/2) and scale >= 0: the low crossing of a cut at a peak whose
+    mode is scale, and the principal offset. Newton's method solves
+    v = -W0, whose digits 1 - d loses, and the crossing is scale*v. Where
+    r - 1 <= -690, W0 = z, W0 + 1 rounds to 1 and the crossing is
+    exp(r - 1 + ln scale). It serves _cut and inverse_pdf, which needs only
+    this branch."""
+    if r - 1.0 <= _LOG_FORM_CUT:
+        # W0(z) = z to double precision; exp(r - 1) alone may underflow
+        x_low = math.exp(r - 1.0 + math.log(scale)) if scale > 0.0 else 0.0
+        return x_low, 1.0
+    # from q = 1/2 on, W0(z) ~ z/(1 + z), below the root: Newton stays there
+    v = _solve(1.0 / math.expm1(1.0 - r), r, True)
+    return scale * v, 1.0 - v
+
+
 def _cut(r: float, scale: float) -> tuple[float, float, float]:
     """(-scale*W0, -scale*Wm1, W0 - Wm1) at z = -exp(r - 1) for an unchecked
     r <= 0 and scale >= 0: the two crossings of a cut at a peak whose mode
-    is scale, and the branch difference, each branch solved once. The
-    principal branch at a cut is found only here. Below q = 1/2 one
-    evaluation of _offsets gives both offsets d = W + 1, and a crossing is
-    scale - scale*d. Above W0 = -1/2 Newton's method solves v = -W0 instead,
-    whose digits 1 - d loses, and the low crossing is scale*v; below q = 1/2
-    that takes one step from the polynomial's 1 - d. Where r - 1 <= -690,
-    W0 = z and the low crossing is exp(r - 1 + ln scale)."""
+    is scale, and the branch difference, each branch solved once. Below
+    q = 1/2 one evaluation of _offsets gives both offsets d = W + 1, and a
+    crossing is scale - scale*d. Above W0 = -1/2 Newton's method solves
+    v = -W0 instead, whose digits 1 - d loses, and the low crossing is
+    scale*v; below q = 1/2 that takes one step from the polynomial's 1 - d.
+    From q = 1/2 on the branches come from _principal and _secondary."""
     if r > _LN_HALF:
         lo, hi = _offsets(r)
         if r > _V_FORM_R:
             return scale - scale * lo, scale - scale * hi, lo - hi
         v = _solve(1.0 - lo, r, True)
-    else:
-        hi = _secondary(r)
-        if r - 1.0 <= _LOG_FORM_CUT:
-            # W0(z) = z to double precision; exp(r - 1) alone may underflow
-            x_low = math.exp(r - 1.0 + math.log(scale)) if scale > 0.0 else 0.0
-            return x_low, scale - scale * hi, 1.0 - hi
-        # from q = 1/2 on, W0(z) ~ z/(1 + z), below the root: Newton stays there
-        v = _solve(1.0 / math.expm1(1.0 - r), r, True)
-    return scale * v, scale - scale * hi, (1.0 - v) - hi
+        return scale * v, scale - scale * hi, (1.0 - v) - hi
+    hi = _secondary(r)
+    x_low, lo = _principal(r, scale)
+    return x_low, scale - scale * hi, lo - hi
 
 
 def branch_difference_from_log_ratio(r: float) -> float:

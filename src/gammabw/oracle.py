@@ -7,8 +7,11 @@ Lambert W and median oracles bisect. The crossing oracle takes Newton
 steps on the level equation in the offset from the peak, kept inside the
 bracket and backed by bisection, and returns an offset only once the
 level is seen to change sign within a few ulps of it: fast and accurate
-to float resolution, also where the crossings merge at the peak. Used by
-the test suite and by the CLI --verify mode.
+to float resolution, also where the crossings merge at the peak.
+oracle_offsets returns those offsets, which depend on the shape and the
+level alone, in units of the mode; oracle_crossings places them at the
+mode of a given shape. Used by the test suite and by the CLI --verify
+mode, which needs only the offsets.
 """
 
 import math
@@ -19,7 +22,13 @@ from .bandwidth import GammaShapeSpec
 from .gamma2 import cdf_a2
 from .lambertw import Branch
 
-__all__ = ["BracketError", "oracle_lambert_w", "oracle_crossings", "oracle_median_a2"]
+__all__ = [
+    "BracketError",
+    "oracle_lambert_w",
+    "oracle_offsets",
+    "oracle_crossings",
+    "oracle_median_a2",
+]
 
 _INV_E = 1.0 / math.e
 
@@ -137,30 +146,28 @@ def _offset(a1: float, log_y: float, u: float, pos: float, neg: float) -> float:
         old, u = abs(v - u), v
 
 
-def oracle_crossings(spec: GammaShapeSpec, y: float) -> tuple[float, float]:
-    """Both solutions of g(x) = y * max(g) for a gamma shape.
+def oracle_offsets(a: float, y: float) -> tuple[float, float]:
+    """(u_low, u_high): the offsets from the peak of the two solutions of
+    g(x) = y * max(g) for a gamma shape of shape a, in units of the mode.
 
-    Each crossing is x = (m - s) + m*u, with m = (a-1)*b the peak of the
-    unshifted shape and u = (x + s)/m - 1 the offset from it. The level
-    equation in u is L(u) = (a-1)*(log1p(u) - u) - ln(y) = 0: K and b
-    cancel, L is monotone on each side of u = 0, and log1p(u) - u is
-    summed without cancellation near the peak. The left offset is
-    searched in [-1, 0] and the right in [0, h], h the first point found
-    below the level, by Newton steps safeguarded by bisection, each from
-    its quadratic estimate -+sqrt(-2 ln(y)/(a-1)). An offset is returned
-    only once L is seen to change sign within _CERT_ULPS ulps of it, so
-    like a bisection it rests on monotonicity alone; no Lambert W is
-    evaluated. With s = m the crossings are m*u exactly rounded, and
-    their difference adds two numbers of opposite sign. Raises BracketError
-    when a crossing overflows.
+    The crossings are x = m*(1 + u) for the unshifted shape with mode
+    m = (a-1)*b; the offsets depend on a and y alone. They solve the level
+    equation L(u) = (a-1)*(log1p(u) - u) - ln(y) = 0: K and b cancel, L is
+    monotone on each side of u = 0, and log1p(u) - u is summed without
+    cancellation near the peak. The left offset is searched in [-1, 0] and
+    the right in [0, h], h the first point found below the level, by
+    Newton steps safeguarded by bisection, each from its quadratic
+    estimate -+sqrt(-2 ln(y)/(a-1)). An offset is returned only once L is
+    seen to change sign within _CERT_ULPS ulps of it, so like a bisection
+    it rests on monotonicity alone; no Lambert W is evaluated. The
+    offsets have opposite signs, so a width (a-1)*u_high - (a-1)*u_low
+    does not cancel.
     """
-    a, b, s = spec.params.a, spec.params.b, spec.s
     if a <= 1.0:
         raise ValueError(f"crossings need a > 1, got a={a!r}")
     if not (0.0 < y < 1.0):
         raise ValueError(f"crossing proportion must lie strictly in (0, 1), got {y!r}")
     a1 = a - 1.0
-    m = a1 * b
     log_y = math.log(y)
     # log1p(u) - u is below -u**2/2 for u < 0 and above it for u > 0, so
     # the estimates lie on the L <= 0 side of the left root and the L > 0
@@ -170,9 +177,23 @@ def oracle_crossings(spec: GammaShapeSpec, y: float) -> tuple[float, float]:
     # -1, where L = -inf gives no Newton step.
     p = math.sqrt(-2.0 * log_y) / math.sqrt(a1)
     left = max(-p, -1.0 + math.exp(log_y / a1 - 1.0), math.nextafter(-1.0, 0.0))
-    u_low = _offset(a1, log_y, left, 0.0, -1.0)
-    u_high = _offset(a1, log_y, p, 0.0, math.inf)
-    base = m - s
+    return _offset(a1, log_y, left, 0.0, -1.0), _offset(a1, log_y, p, 0.0, math.inf)
+
+
+def oracle_crossings(spec: GammaShapeSpec, y: float) -> tuple[float, float]:
+    """Both solutions of g(x) = y * max(g) for a gamma shape.
+
+    Each crossing is x = (m - s) + m*u, with m = (a-1)*b the peak of the
+    unshifted shape and u = (x + s)/m - 1 the offset from it, which
+    oracle_offsets certifies: like a bisection it rests on monotonicity
+    alone, and no Lambert W is evaluated. With s = m the crossings are m*u
+    exactly rounded, and their difference adds two numbers of opposite
+    sign. Raises ValueError as oracle_offsets does, and BracketError when
+    a crossing overflows.
+    """
+    u_low, u_high = oracle_offsets(spec.params.a, y)
+    m = (spec.params.a - 1.0) * spec.params.b
+    base = m - spec.s
     low, high = base + m * u_low, base + m * u_high
     if not (math.isfinite(low) and math.isfinite(high)):
         raise BracketError(f"a crossing overflows for y={y!r}, spec={spec!r}")

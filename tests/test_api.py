@@ -1,3 +1,4 @@
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -77,3 +78,21 @@ def test_cli_loads_argparse_only_for_other_spellings():
     assert done.stderr.decode() == "0 False 0 True"
     golden = Path(__file__).resolve().parent / "golden" / "fwhm_verify_a2_b1.csv"
     assert done.stdout == 2 * golden.read_bytes()
+
+
+def test_tracer_finds_every_name_it_wraps(monkeypatch):
+    # benchmarks/tracing.py wraps names by getattr on the modules of src/,
+    # some of them kept importable only for it: a name it lists that src/
+    # no longer has fails here, not only in the traced benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    tracing = importlib.import_module("tracing")
+    modules = [(importlib.import_module(name), names) for name, names in tracing.WRAPPED]
+
+    def looked_up():
+        return [getattr(module, name) for module, names in modules for name in names]
+
+    with tracing.Tracer().installed():
+        during = looked_up()
+    after = looked_up()
+    assert all(wrapped is not fn for wrapped, fn in zip(during, after))
+    assert all(fn.__module__.startswith("gammabw.") for fn in after)

@@ -918,12 +918,13 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize(
         "branch,want",
-        [(Branch.PRINCIPAL, [False, True]), (Branch.SECONDARY, [False])],
+        [(Branch.PRINCIPAL, [True]), (Branch.SECONDARY, [False])],
         ids=["principal", "secondary"],
     )
     def test_inverse_pdf_solves_only_its_branch_above_half(self, solves, branch, want):
-        # 0.1 of the maximum of ShapeScale(3, 1): q = 0.68; the secondary
-        # branch takes its d-form solve and no v-form solve of the principal
+        # 0.1 of the maximum of ShapeScale(3, 1): q = 0.68; the principal
+        # branch takes its v-form solve and no d-form solve of the
+        # secondary, and the secondary branch the other way round
         inverse_pdf(0.1 * P_MAX_A3, ShapeScale(3.0, 1.0), branch)
         assert solves == want
 

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -442,6 +443,51 @@ class TestTableBlocks:
         for fmt in ("csv", "plain"):
             assert cli.main(argv + ["--format", fmt]) == 0
             assert capsys.readouterr().out == reference_table(row, names, [], fmt)
+
+
+RECORD_NAMES = ["width", "x_low", "x_high", "mode", "oracle_width", "relative_discrepancy"]
+# floats whose repr, ".16e" and json forms differ in kind from a plain value
+EDGE_VALUES = [0.0, -0.0, 5e-324, 2.5e-310, 1e308, -1e308, math.inf, -math.inf, math.nan]
+
+
+def record_fields(seed, k):
+    """Seeded records of k fields: every edge value in every position once,
+    then values spread over the whole exponent range."""
+    rng = random.Random(seed)
+    names = RECORD_NAMES[:k]
+    records = []
+    for edge in EDGE_VALUES:
+        for i in range(k):
+            values = [rng.uniform(-1.0, 1.0) for _ in range(k)]
+            values[i] = edge
+            records.append(list(zip(names, values)))
+    for _ in range(20):
+        values = [rng.choice([-1.0, 1.0]) * math.exp(rng.uniform(-740.0, 709.0)) for _ in range(k)]
+        records.append(list(zip(names, values)))
+    return records
+
+
+class TestRecordWriter:
+    @pytest.mark.parametrize("fmt", cli._FORMATS)
+    @pytest.mark.parametrize("k", [1, 3, 4, 6])
+    def test_bytes_match_a_one_row_table(self, capsys, fmt, k):
+        # in json a table's column is a list: of one value, in a one-row table
+        for fields in record_fields(seed=k, k=k):
+            cli._emit_record(fields, fmt)
+            record = capsys.readouterr().out
+            cli._emit_table([(name, [value]) for name, value in fields], [], fmt)
+            table = capsys.readouterr().out
+            if fmt == "json":
+                table = table.replace(": [", ": ").replace("], ", ", ").replace("]}", "}")
+            assert record == table, fields
+
+    def test_one_write_per_record(self, monkeypatch):
+        writes = []
+        monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
+        fields = list(zip(RECORD_NAMES, EDGE_VALUES))
+        for fmt in cli._FORMATS:
+            cli._emit_record(fields, fmt)
+        assert len(writes) == len(cli._FORMATS)
 
 
 class TestParserReuse:

@@ -9,7 +9,13 @@ from gammabw import oracle
 from gammabw.bandwidth import GammaShapeSpec, ShapeScale, fwym, mode
 from gammabw.gamma2 import median_a2
 from gammabw.lambertw import Branch
-from gammabw.oracle import BracketError, oracle_crossings, oracle_lambert_w, oracle_median_a2
+from gammabw.oracle import (
+    BracketError,
+    oracle_crossings,
+    oracle_lambert_w,
+    oracle_median_a2,
+    oracle_offsets,
+)
 
 INV_E = 1.0 / math.e
 
@@ -207,6 +213,36 @@ class TestOffsetForm:
 
     def test_log1pmx_at_minus_one(self):
         assert oracle._log1pmx(-1.0) == oracle._log1pmx(-1.5) == -math.inf
+
+
+def unit_scale_spec(a):
+    """The shape a at b = 1, shifted by its mode a - 1: the crossings are
+    the mode times the offsets from it, with nothing added."""
+    return GammaShapeSpec(ShapeScale(a, 1.0), s=a - 1.0)
+
+
+class TestOracleOffsets:
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_crossings_at_unit_scale_are_the_mode_times_the_offsets(self, seed):
+        for a, _, y in offset_cuts(300, seed):
+            u_low, u_high = oracle_offsets(a, y)
+            assert u_low < 0.0 < u_high, (a, y)
+            lo, hi = oracle_crossings(unit_scale_spec(a), y)
+            a1 = a - 1.0
+            assert (lo.hex(), hi.hex()) == ((a1 * u_low).hex(), (a1 * u_high).hex()), (a, y)
+
+    @pytest.mark.parametrize(
+        "a,y",
+        # ShapeScale itself rejects a < 1
+        [(1.0, 0.5), (1.0, 1e-300)]
+        + [(2.0, y) for y in (0.0, -0.5, -0.0, 1.0, 1.5, math.inf, math.nan)],
+    )
+    def test_same_errors_as_crossings(self, a, y):
+        with pytest.raises(ValueError) as offsets:
+            oracle_offsets(a, y)
+        with pytest.raises(ValueError) as crossings:
+            oracle_crossings(unit_scale_spec(a), y)
+        assert str(offsets.value) == str(crossings.value)
 
 
 class TestOracleMedian:
