@@ -1,32 +1,59 @@
-"""Fit the polynomial that gives both Lambert offsets below q = 1/2.
+"""Fit every Lambert table of gammabw.lambertw at 60 digits, and check them.
 
 At z = -exp(r - 1) the offsets d = W + 1 of the two real branches solve
 d + log1p(-d) = r, and d is analytic in s = +-sqrt(-2r) (the principal
-branch for s > 0, the secondary for s < 0) out to |s| = sqrt(4*pi). Split
-into odd and even parts in u = s**2, with the exact term -u/3 apart,
+branch for s > 0, the secondary for s < 0) out to |s| = sqrt(4*pi). Each
+table is interpolated with mpmath at the Chebyshev nodes of its interval,
+and its coefficients are rounded to doubles:
 
-    W + 1 = s - u/3 + s*u*ODD(u) + u**2*EVEN(u),
+- `_offsets`, for q = -expm1(r) <= 1/2 (|s| <= sqrt(2 ln 2) = 1.1774; nodes
+  on |s| <= 1.2): both offsets as W + 1 = s - u/3 + s*u*ODD(u) +
+  u**2*EVEN(u) in the exact u = s**2. No step follows: each offset is
+  within an ulp.
+- `_secondary`, for r in [-7, ln 1/2] (s in [1.1774, 3.7417]): Wm1 + 1 as
+  a polynomial in h = s - 5/2. Start error 1.2e-6 relative.
+- `_principal`, for x = exp(r - 1) in [0, 1/(2e)], that is q >= 1/2 down to
+  the log form: G = exp(-W0) - 1 = x*P(x), with W0 = -x*(1 + G). Start
+  error 1.2e-6 relative in 1 + G.
 
-ODD and EVEN are polynomials in u, interpolated at 60 digits (mpmath) at
-the Chebyshev nodes of |s| <= 1.2, which covers q = -expm1(r) <= 1/2
-(|s| <= sqrt(2 ln 2) = 1.1774). The script prints the two assignments that
-gammabw.lambertw._offsets evaluates; with --check it exits 1 instead if the
-coefficients committed there differ from a fresh fit.
+The secondary branch below r = -7 is not fitted. There w = -Wm1 solves
+w - ln w = L = 1 - r, and de Bruijn's series in lam = ln L through 1/L**5
+starts it: w = L + lam + lam/L + lam*(1 - lam/2)/L**2 +
+lam*(1 - 3*lam/2 + lam**2/3)/L**3 + lam*(1 - 3*lam + 11*lam**2/6 -
+lam**3/4)/L**4 + lam*(1 - 5*lam + 35*lam**2/6 - 25*lam**3/12 +
+lam**4/5)/L**5, within 1.1e-6 relative; where r - 1 <= -690 the terms
+through 1/L alone are within 4.4e-8.
+
+Each start takes one third-order step, whose relative error is at most
+0.42*e**3 for a start within e: below 4e-18 for any start within
+STEP_BOUND = 2e-6, a few hundredths of an ulp. The figures above are the
+largest start errors on a grid of each interval, with the rounded
+coefficients evaluated exactly. The script prints the tables with their
+measured start errors; with --check it exits 1 instead if the
+coefficients committed in lambertw.py differ from a fresh fit or a start
+error exceeds STEP_BOUND.
 
 Run from anywhere: python scripts/fit_offsets.py [--check]
 """
-
-from __future__ import annotations
 
 import ast
 import sys
 from pathlib import Path
 
-from mpmath import cos, exp, lambertw, lu_solve, matrix, mp, mpf, pi, sqrt
+from mpmath import cos, exp, lambertw, log, lu_solve, matrix, mp, mpf, pi, sqrt
 
 _SOURCE = Path(__file__).resolve().parents[1] / "src" / "gammabw" / "lambertw.py"
-S_MAX = "1.2"
-TERMS = 10  # coefficients per part: W + 1 through s**22
+STEP_BOUND = 2e-6
+GRID = 400  # grid points per interval for the start errors
+
+S_OFFSETS = "1.2"
+OFFSET_TERMS = 10  # coefficients per part: W + 1 through s**22
+
+TAIL_R = -7
+S_CENTRE = 2.5
+SECONDARY_TERMS = 6
+PRINCIPAL_TERMS = 6
+LOG_FORM_CUT = -690  # r - 1 at which lambertw's log form begins
 
 
 def offset(s):
@@ -41,53 +68,154 @@ def parts(u):
     return ((hi + lo) / (2 * u) + mpf(1) / 3) / u, ((hi - lo) / (2 * s) - 1) / u
 
 
-def fit() -> tuple[list[float], list[float]]:
-    """The (ODD, EVEN) coefficients, lowest power first, rounded to doubles."""
+def principal_p(x):
+    """P(x) = (exp(-W0(-x)) - 1)/x, from the series 1 + 3x/2 + ... at 0."""
+    if x == 0:
+        return mpf(1)
+    return (-lambertw(-x, 0).real / x - 1) / x
+
+
+def chebyshev_nodes(lo, hi, n):
+    return [(lo + hi) / 2 + (hi - lo) / 2 * cos((2 * j + 1) * pi / (2 * n)) for j in range(n)]
+
+
+def interpolate(nodes, values, centre=0):
+    """Monomial coefficients in (t - centre), lowest first, through the points."""
+    vandermonde = matrix([[(t - centre) ** k for k in range(len(nodes))] for t in nodes])
+    return list(lu_solve(vandermonde, matrix(values)))
+
+
+def horner_exact(coefficients, t):
+    """The polynomial with the given double coefficients, evaluated exactly."""
+    acc = mpf(0)
+    for c in reversed(coefficients):
+        acc = acc * t + mpf(c)
+    return acc
+
+
+def grid(lo, hi):
+    return [lo + (hi - lo) * k / GRID for k in range(GRID + 1)]
+
+
+def fit() -> dict[str, tuple[list[float], str, float | None]]:
+    """Each table by its assignment name: its coefficients, lowest power
+    first, rounded to doubles; its interval; its measured start error,
+    None where no step follows."""
+    tables = {}
     with mp.workdps(60):
-        u_max = mpf(S_MAX) ** 2
-        nodes = [u_max * (1 + cos((2 * j + 1) * pi / (2 * TERMS))) / 2 for j in range(TERMS)]
+        u_max = mpf(S_OFFSETS) ** 2
+        nodes = chebyshev_nodes(0, u_max, OFFSET_TERMS)
         values = [parts(u) for u in nodes]
-        vandermonde = matrix([[u**k for k in range(TERMS)] for u in nodes])
-        even, odd = (lu_solve(vandermonde, matrix([v[i] for v in values])) for i in (0, 1))
-        return [float(c) for c in odd], [float(c) for c in even]
+        for i, name in ((0, "even"), (1, "odd")):
+            coefficients = [float(c) for c in interpolate(nodes, [v[i] for v in values])]
+            tables[name] = (coefficients, f"|s| <= {S_OFFSETS}, no step", None)
+
+        s_lo, s_hi = sqrt(2 * log(2)), sqrt(-2 * mpf(TAIL_R))
+        nodes = chebyshev_nodes(s_lo, s_hi, SECONDARY_TERMS)
+        values = [offset(-s) for s in nodes]
+        coefficients = [float(c) for c in interpolate(nodes, values, S_CENTRE)]
+        worst = max(
+            abs(horner_exact(coefficients, s - S_CENTRE) / offset(-s) - 1)
+            for s in grid(s_lo, s_hi)
+        )
+        tables["d"] = (coefficients, f"s in [{float(s_lo):.5g}, {float(s_hi):.5g}]", float(worst))
+
+        x_hi = exp(log(mpf(1) / 2) - 1)
+        nodes = chebyshev_nodes(0, x_hi, PRINCIPAL_TERMS)
+        coefficients = [float(c) for c in interpolate(nodes, [principal_p(x) for x in nodes])]
+        worst = max(
+            abs((1 + x * horner_exact(coefficients, x)) / (1 + x * principal_p(x)) - 1)
+            for x in grid(0, x_hi)
+        )
+        tables["g"] = (coefficients, f"x in [0, {float(x_hi):.5g}]", float(worst))
+    return tables
 
 
-def horner(name: str, prefix: str, coefficients: list[float]) -> str:
-    """`name = prefix(c0 + u * (c1 + ...))`, one coefficient per line."""
+def tail_errors() -> tuple[float, float]:
+    """Largest relative start errors of de Bruijn's series for w = -Wm1:
+    through 1/L**5 on L = 1 - r in [1 - TAIL_R, 1 - LOG_FORM_CUT], log-uniform,
+    and through 1/L from there on (largest at its first L)."""
+    with mp.workdps(60):
+
+        def error(big, terms):
+            lam = log(big)
+            polys = [lam, lam * (1 - lam / 2), lam * (1 - 3 * lam / 2 + lam**2 / 3),
+                     lam * (1 - 3 * lam + 11 * lam**2 / 6 - lam**3 / 4),
+                     lam * (1 - 5 * lam + 35 * lam**2 / 6 - 25 * lam**3 / 12 + lam**4 / 5)]
+            eta = mpf(0)
+            for p in reversed(polys[:terms]):
+                eta = (p + eta) / big
+            w = -lambertw(-exp(-big), -1).real
+            return abs((big + lam + eta) / w - 1)
+
+        lo, hi = log(mpf(1 - TAIL_R)), log(mpf(1 - LOG_FORM_CUT))
+        series = max(error(exp(t), 5) for t in grid(lo, hi))
+        return float(series), float(error(mpf(1 - LOG_FORM_CUT), 1))
+
+
+def horner(name: str, prefix: str, variable: str, coefficients: list[float]) -> str:
+    """`name = prefix(c0 + v * (c1 + ...))`, one coefficient per line."""
     lines = [f"    {name} = {prefix}("]
     for i, c in enumerate(coefficients):
-        tail = " + u * (" if i < len(coefficients) - 1 else ")" * len(coefficients)
+        tail = f" + {variable} * (" if i < len(coefficients) - 1 else ")" * len(coefficients)
         lines.append(f"        {c!r}{tail}")
     return "\n".join(lines)
 
 
+# (function in lambertw.py, assignment, prefix, Horner variable) per table
+LAYOUT = (
+    ("_offsets", "odd", "s * u * ", "u"),
+    ("_offsets", "even", "u * u * ", "u"),
+    ("_secondary", "d", "", "h"),
+    ("_principal", "g", "x * ", "x"),
+)
+
+
 def committed() -> dict[str, list[float]]:
-    """The coefficients of each Horner assignment in lambertw._offsets."""
+    """The coefficients of each Horner assignment of LAYOUT in lambertw.py,
+    the first assignment to its name in its function."""
     tree = ast.parse(_SOURCE.read_text())
-    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_offsets")
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     found = {}
-    for node in fn.body:
-        if isinstance(node, ast.Assign) and node.targets[0].id in ("odd", "even"):
-            term, coefficients = node.value.right, []  # prefix * (c0 + u * (c1 + ...))
-            while isinstance(term, ast.BinOp) and isinstance(term.op, ast.Add):
-                coefficients.append(ast.literal_eval(term.left))
-                term = term.right.right
-            found[node.targets[0].id] = [*coefficients, ast.literal_eval(term)]
+    for function, name, _, _ in LAYOUT:
+        for node in ast.walk(functions[function]):
+            if name in found:
+                break
+            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == name:
+                term, coefficients = node.value, []
+                if isinstance(term.op, ast.Mult):  # prefix * (c0 + v * (c1 + ...))
+                    term = term.right
+                while isinstance(term, ast.BinOp) and isinstance(term.op, ast.Add):
+                    coefficients.append(ast.literal_eval(term.left))
+                    term = term.right.right
+                found[name] = [*coefficients, ast.literal_eval(term)]
     return found
 
 
 def main(argv: list[str]) -> int:
-    odd, even = fit()
-    if argv == ["--check"]:
-        if committed() != {"odd": odd, "even": even}:
-            print(f"{_SOURCE.name}: _offsets coefficients differ from the fit", file=sys.stderr)
-            return 1
-        return 0
-    if argv:
+    if argv not in ([], ["--check"]):
         print("usage: fit_offsets.py [--check]", file=sys.stderr)
         return 2
-    print(horner("odd", "s * u * ", odd))
-    print(horner("even", "u * u * ", even))
+    tables = fit()
+    series, log_form = tail_errors()
+    starts = [series, log_form] + [error for _, _, error in tables.values() if error is not None]
+    if argv:
+        fresh = {name: coefficients for name, (coefficients, _, _) in tables.items()}
+        if committed() != fresh:
+            print(f"{_SOURCE.name}: coefficients differ from the fit", file=sys.stderr)
+            return 1
+        if max(starts) > STEP_BOUND:
+            print(f"a start error {max(starts):.2g} exceeds {STEP_BOUND:g}", file=sys.stderr)
+            return 1
+        return 0
+    for function, name, prefix, variable in LAYOUT:
+        coefficients, interval, error = tables[name]
+        start = "" if error is None else f", start error {error:.2g}"
+        print(f"# {function}: {interval}{start}")
+        print(horner(name, prefix, variable, coefficients))
+    print(f"# _secondary below r = {TAIL_R}: de Bruijn's series through 1/L**5, "
+          f"start error {series:.2g}")
+    print(f"# _secondary where r - 1 <= {LOG_FORM_CUT}: through 1/L, start error {log_form:.2g}")
     return 0
 
 

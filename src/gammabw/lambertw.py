@@ -5,16 +5,20 @@ of u -> u*exp(u): the principal branch (w >= -1, defined for z >= -1/e) and
 the secondary branch (w <= -1, defined for -1/e <= z < 0), and both at a
 cut z = -exp(r - 1) of a unimodal peak at a fixed fraction of its maximum.
 Their offsets d = W + 1 solve d + log1p(-d) = r, and at cuts and near the
-branch point they are found in the exact r without forming z. Below
-q = -expm1(r) = 1/2 both come from one fixed polynomial in s = sqrt(-2r),
-the secondary branch at -s, which calls no transcendental function
-(Fukushima, 2013, uses such polynomials); only the principal branch above
-W0 = -1/2 then takes one Newton step in v = -W0, to keep the digits of a
-small v. Farther out each is solved by Newton's method in r (the Newton
-form of the iteration of Iacono & Boyd, 2017). The offsets have opposite
-signs, so neither their difference nor the crossings built from them
-cancel. Away from the branch point w0 and wm1 take Halley's method in z,
-except wm1 at subnormal z, which is solved in ln(-z).
+branch point they are found in the exact r without forming z, with no loop.
+Below q = -expm1(r) = 1/2 both come from one fixed polynomial in
+s = sqrt(-2r), the secondary branch at -s, which calls no transcendental
+function (Fukushima, 2013, uses such polynomials); above W0 = -1/2 the same
+evaluation gives v = -W0 instead, to keep the digits of a small v. From
+q = 1/2 on each branch takes a start fitted to within 2e-6 (a polynomial in
+s for Wm1 down to r = -7 and de Bruijn's series below it; a polynomial in
+x = exp(r - 1) for exp(-W0) - 1) and one third-order step, whose error is
+below 0.42 times the cube of the start's: the fixed step count rests on
+that bound, not on a stop test (scripts/fit_offsets.py fits and checks
+every table). The offsets have opposite signs, so neither their difference
+nor the crossings built from them cancel. Away from the branch point w0
+and wm1 take Halley's method in z, except wm1 at subnormal z, which is
+solved in ln(-z).
 """
 
 import math
@@ -31,13 +35,18 @@ _MAX_ITER = 50
 # itself: callers compute z with a couple of rounding errors of their own.
 _BRANCH_POINT_MIN = -(1.0 + 4.0 * _EPS) / _E
 
-# Above this r, q = -expm1(r) < 1/2, both offsets come from _offsets
+# Above this r, q = -expm1(r) < 1/2, both offsets come from _offsets; at it
+# the secondary branch does too, from the polynomial's fit to |s| <= 1.2
 _LN_HALF = math.log(0.5)
 
-# W0 = -1/2 at this r; below it v = -W0 is solved, whose digits 1 - d loses
+# W0 = -1/2 at this r; below it _offsets gives v = -W0, whose digits 1 - d loses
 _V_FORM_R = 0.5 + _LN_HALF
 
-# exp(r - 1) degrades or underflows below this r - 1: x_low is exp(r - 1 + ln scale)
+# Below this r the secondary branch starts from de Bruijn's series
+_TAIL_R = -7.0
+
+# exp(r - 1) degrades or underflows below this r - 1: x_low is
+# exp(r - 1 + ln scale), and de Bruijn's series needs only its first term
 _LOG_FORM_CUT = -690.0
 
 
@@ -48,13 +57,15 @@ class Branch(Enum):
     SECONDARY = -1
 
 
-def _offsets(r: float) -> tuple[float, float]:
-    """(W0 + 1, Wm1 + 1) at z = -exp(r - 1) for -ln 2 <= r <= 0 (q < 1/2),
+def _offsets(r: float, in_v: bool = False) -> tuple[float, float]:
+    """(W0 + 1, Wm1 + 1) at z = -exp(r - 1) for -ln 2 <= r <= 0 (q <= 1/2),
     from one polynomial in s = sqrt(-2r), the secondary branch at -s, with
     no transcendental call: W + 1 = s - u/3 + s*u*odd(u) + u**2*even(u) in
     the exact u = s**2, fitted by scripts/fit_offsets.py. The odd tail c
     takes the root's rounding error too, so W0 + 1 = s + ((c + even) - u/3)
-    and Wm1 + 1 = ((even - c) - u/3) - s each round once at the end."""
+    and Wm1 + 1 = ((even - c) - u/3) - s each round once at the end. With
+    in_v the first value is v = -W0 = (1 - s) - ((c + even) - u/3) instead,
+    which keeps the digits of a small v; 1 - s is exact for s in [1/2, 2]."""
     u = -2.0 * r
     s = math.sqrt(u)
     if u < 1e-290:
@@ -90,35 +101,47 @@ def _offsets(r: float) -> tuple[float, float]:
         -2.118175684297582e-14))))))))))
     c = odd + ((u - p) - (((hi * hi - p) + 2.0 * hi * lo) + lo * lo)) / (s + s)
     third = u / 3.0
-    return s + ((c + even) - third), ((even - c) - third) - s
-
-
-def _solve(x: float, r: float, in_v: bool = False) -> float:
-    """Newton's method on d + log1p(-d) = r from a guess x of d, or with
-    in_v on ln(v) + 1 - v = r in v = 1 - d. The d-form serves only the
-    secondary branch for q >= 1/2, whose iterates stay at or below -1.22,
-    where the left side does not cancel. It stops once the error predicted
-    after a step s, s**2/(2|x|(1 - x)), is below an ulp of x: no evaluation
-    confirms it."""
-    for _ in range(_MAX_ITER):
-        c = 1.0 - x
-        if in_v:
-            s = -(math.log(x) + c - r) * x / c
-        else:
-            s = (x + math.log1p(-x) - r) * c / x
-        x += s
-        if s * s <= 2.0 * _EPS * x * x * (1.0 - x):
-            return x
-    raise ArithmeticError(f"lambert w iteration did not converge for r={r!r}")
+    tail = (c + even) - third
+    return (1.0 - s) - tail if in_v else s + tail, ((even - c) - third) - s
 
 
 def _secondary(r: float) -> float:
-    """Wm1 + 1 at z = -exp(r - 1) for r <= 0: from _offsets below q = 1/2,
-    else by Newton's method in d. It serves _cut, wm1 and wm1_from_log, and
-    gamma2.quantile_a2, which needs only this branch."""
-    if r > _LN_HALF:
+    """Wm1 + 1 at z = -exp(r - 1) for r <= 0, with no loop: from _offsets
+    up to q = 1/2; else a start within 1.2e-6 relative, one polynomial in
+    s = sqrt(-2r) for r > -7 and de Bruijn's series in ln(1 - r) below, then
+    one third-order step on d + log1p(-d) = r, whose error is below
+    0.15*e**3 for a start within e (scripts/fit_offsets.py). It serves
+    _cut, wm1 and wm1_from_log, and gamma2.quantile_a2, which needs only
+    this branch."""
+    if r >= _LN_HALF:
         return _offsets(r)[1]
-    return _solve(r - math.log(1.0 - r), r)  # W ~ ln(-z) - ln(-ln(-z))
+    if r > _TAIL_R:
+        h = math.sqrt(-2.0 * r) - 2.5
+        d = (
+            -4.899940896851016 + h * (
+            -3.0102117619163966 + h * (
+            -0.44534069932918446 + h * (
+            -0.006930606134680002 + h * (
+            0.0009227693150703643 + h * (
+            -0.00011563223207380022))))))
+    else:
+        # w = -Wm1 solves w - ln w = big: de Bruijn's series in lam = ln(big)
+        # and t = 1/big gives w = big + lam + eta, so Wm1 + 1 = r - (lam + eta)
+        big = 1.0 - r
+        lam = math.log(big)
+        t = 1.0 / big
+        if r - 1.0 > _LOG_FORM_CUT:
+            eta = lam * t * (1.0 + t * (1.0 - 0.5 * lam + t * (
+                1.0 + lam * (-1.5 + lam / 3.0) + t * (
+                1.0 + lam * (-3.0 + lam * (11.0 / 6.0 - 0.25 * lam)) + t * (
+                1.0 + lam * (-5.0 + lam * (35.0 / 6.0 + lam * (-25.0 / 12.0 + 0.2 * lam))))))))
+        else:
+            eta = lam * t
+        d = r - (lam + eta)
+    # Chebyshev's step: g = d + log1p(-d) - r, g' = -d/(1 - d), g'' = -1/(1 - d)**2
+    c = 1.0 - d
+    k = ((d + math.log1p(-d)) - r) * c / d
+    return d + k * (1.0 - 0.5 * k / (d * c))
 
 
 def _halley(w: float, z: float) -> float:
@@ -129,10 +152,10 @@ def _halley(w: float, z: float) -> float:
     of two every operation rounds alike, so each step is the same where
     they do not."""
     scale = 2.0**-64 if z > 1e300 else 1.0
-    z *= scale
+    z_scaled = z * scale
     for _ in range(_MAX_ITER):
         ew = math.exp(w) * scale
-        f = w * ew - z
+        f = w * ew - z_scaled
         dw = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
         w -= dw
         if abs(dw) <= 4.0 * _EPS * abs(w):
@@ -195,34 +218,60 @@ def wm1_from_log(m: float) -> float:
 def _principal(r: float, scale: float) -> tuple[float, float]:
     """(-scale*W0, W0 + 1) at z = -exp(r - 1) for an unchecked r <= ln 1/2
     (q >= 1/2) and scale >= 0: the low crossing of a cut at a peak whose
-    mode is scale, and the principal offset. Newton's method solves
-    v = -W0, whose digits 1 - d loses, and the crossing is scale*v. Where
-    r - 1 <= -690, W0 = z, W0 + 1 rounds to 1 and the crossing is
-    exp(r - 1 + ln scale). It serves _cut and inverse_pdf, which needs only
-    this branch."""
-    if r - 1.0 <= _LOG_FORM_CUT:
+    mode is scale, and the principal offset. v = -W0, whose digits 1 - d
+    would lose, is x*(1 + G) with x = exp(r - 1) and G = exp(v) - 1: G
+    starts as x*P(x), within 1.2e-6 relative in 1 + G, and takes one
+    third-order step on log1p(G) = x*(1 + G), whose error is below
+    0.42*e**3 for a start within e (scripts/fit_offsets.py); there is no
+    loop, and the crossing is scale*v. Where r - 1 <= -690, W0 = z, W0 + 1
+    rounds to 1 and the crossing is exp(r - 1 + ln scale). It serves _cut
+    and inverse_pdf, which needs only this branch."""
+    t = r - 1.0
+    if t <= _LOG_FORM_CUT:
         # W0(z) = z to double precision; exp(r - 1) alone may underflow
-        x_low = math.exp(r - 1.0 + math.log(scale)) if scale > 0.0 else 0.0
+        x_low = math.exp(t + math.log(scale)) if scale > 0.0 else 0.0
         return x_low, 1.0
-    # from q = 1/2 on, W0(z) ~ z/(1 + z), below the root: Newton stays there
-    v = _solve(1.0 / math.expm1(1.0 - r), r, True)
+    x = math.exp(t)
+    x += x * (r - (t + 1.0))  # the rounding error of t, exactly
+    g = x * (
+        0.9999953269232893 + x * (
+        1.5018182155987543 + x * (
+        2.5549184730662406 + x * (
+        7.637119111993034 + x * (
+        -11.718561572830389 + x * (
+        106.96131636995221))))))
+    # x*(1 + g) = v + e exactly: g rounded to 26 bits (far finer than its
+    # start error) times x's 26-bit head xh and its tail x - xh is exact
+    # (Dekker's split); this keeps v at q = 1/2 correctly rounded
+    hi = 134217729.0 * g
+    g = hi - (hi - g)
+    xh = 134217729.0 * x
+    xh -= xh - x
+    p = xh * g
+    v = x + p
+    e = ((x - v) + p) + (x - xh) * g
+    # Chebyshev's step on f(E) = ln E - x*E in E = 1 + g: f' = (1 - v)/E,
+    # f'' = -1/E**2
+    c = (1.0 - v) - e
+    k = ((math.log1p(g) - v) - e) / c
+    v += e - x * k * (1.0 + g) * (1.0 - 0.5 * k / c)
     return scale * v, 1.0 - v
 
 
 def _cut(r: float, scale: float) -> tuple[float, float, float]:
     """(-scale*W0, -scale*Wm1, W0 - Wm1) at z = -exp(r - 1) for an unchecked
     r <= 0 and scale >= 0: the two crossings of a cut at a peak whose mode
-    is scale, and the branch difference, each branch solved once. Below
-    q = 1/2 one evaluation of _offsets gives both offsets d = W + 1, and a
-    crossing is scale - scale*d. Above W0 = -1/2 Newton's method solves
-    v = -W0 instead, whose digits 1 - d loses, and the low crossing is
-    scale*v; below q = 1/2 that takes one step from the polynomial's 1 - d.
-    From q = 1/2 on the branches come from _principal and _secondary."""
+    is scale, and the branch difference, each branch evaluated once and
+    none by a loop. Below q = 1/2 one evaluation of _offsets gives both
+    offsets d = W + 1, and a crossing is scale - scale*d; above W0 = -1/2
+    it gives v = -W0 instead, whose digits 1 - d loses, and the low
+    crossing is scale*v. From q = 1/2 on the branches come from _principal
+    and _secondary, each a fitted start and one third-order step."""
     if r > _LN_HALF:
-        lo, hi = _offsets(r)
         if r > _V_FORM_R:
+            lo, hi = _offsets(r)
             return scale - scale * lo, scale - scale * hi, lo - hi
-        v = _solve(1.0 - lo, r, True)
+        v, hi = _offsets(r, True)
         return scale * v, scale - scale * hi, (1.0 - v) - hi
     hi = _secondary(r)
     x_low, lo = _principal(r, scale)

@@ -608,9 +608,9 @@ class TestHalleyRegime:
     """Cuts with q >= 1e-3 above the log form against 50-digit mpmath.
 
     The class keeps the name of the Halley solve in z that once served
-    these cuts. Now the polynomial in s gives them below q = 1/2 (with one
-    v-form step above W0 = -1/2) and Newton's method in r above, and widths
-    are within 4e-16 (worst seen 3.7e-16).
+    these cuts. Now the polynomial in s gives them below q = 1/2 (v = -W0
+    above W0 = -1/2) and a fitted start with one third-order step per branch
+    above, and widths are within 4e-16 (worst seen 3.7e-16).
     """
 
     def test_widths_within_5e13(self):
@@ -716,9 +716,9 @@ class TestApproxProportionalError:
 
 def seeded_shapes(seed):
     """Shapes in every regime of a unit-scale FWHM cut, z = -exp(ln(1/2)/(a-1) - 1):
-    the log form (a - 1 below about 1e-3), Newton's method in r, and the
-    polynomial in s (a above 2), up to 1e300, plus a = 1 and fixed shapes
-    on the seams of earlier kernels."""
+    the log form (a - 1 below about 1e-3), the fitted starts with one step
+    each, and the polynomial in s (a above 2), up to 1e300, plus a = 1 and
+    fixed shapes on the seams of earlier kernels."""
     rng = random.Random(seed)
     shapes = [1.0, 1.0 + 1e-7, 1.0 + 2.0**-52, 1.001, 1.0014, 694.0, 700.0, 1e300]
     shapes += [1.0 + math.exp(rng.uniform(math.log(1e-7), math.log(1.4e-3))) for _ in range(200)]
@@ -862,40 +862,50 @@ P_MAX_A3 = gamma_pdf(2.0, ShapeScale(3.0, 1.0))
 
 
 class TestWorkCounts:
-    """Lambert evaluations per cut: each branch is solved once, below q = 1/2
-    both come from one evaluation of the polynomial in s, and only the
-    principal branch above W0 = -1/2 then takes a Newton solve."""
+    """Lambert evaluations per cut: each branch is evaluated once and no
+    branch by a loop. Below q = 1/2 both come from one evaluation of the
+    polynomial in s, which calls one square root and nothing else; from
+    q = 1/2 on each branch takes a fitted start and one third-order step,
+    one log1p each. The math functions lambertw calls are counted through
+    a stand-in for its math module."""
 
     @pytest.fixture
-    def solves(self, monkeypatch):
-        """The in_v flag of every lambertw._solve call, in order."""
-        forms = []
-        solve = lambertw._solve
+    def math_calls(self, monkeypatch):
+        """Calls of each math function from lambertw, by name."""
+        counts = {}
 
-        def recorded(x, r, in_v=False):
-            forms.append(in_v)
-            return solve(x, r, in_v)
+        class Counting:
+            def __getattr__(self, name):
+                attr = getattr(math, name)
+                if not callable(attr):
+                    return attr
 
-        monkeypatch.setattr(lambertw, "_solve", recorded)
-        return forms
+                def counted(*args):
+                    counts[name] = counts.get(name, 0) + 1
+                    return attr(*args)
+
+                return counted
+
+        monkeypatch.setattr(lambertw, "math", Counting())
+        return counts
 
     @pytest.mark.parametrize("fn", [fwym, octave_bandwidth])
-    def test_halley_regime_cut(self, count_calls, solves, fn):
+    def test_halley_regime_cut(self, count_calls, math_calls, fn):
         # q = 0.29, above W0 = -1/2 (the regime Halley's method in z once
         # served): one evaluation of the polynomial in s gives the secondary
-        # branch and the start of the principal branch's one v-form step
+        # branch and v = -W0, with no step
         counts = count_calls(*POLYNOMIAL)
         fn(ShapeScale(3.0, 1.0), 0.5)
         assert counts == {"_offsets": 1, "w0": 0, "wm1": 0}
-        assert solves == [True]
+        assert math_calls == {"sqrt": 1}
 
-    def test_series_regime_cut(self, count_calls, solves):
+    def test_series_regime_cut(self, count_calls, math_calls):
         # both offsets come from the polynomial in s, with no w0/wm1 call
-        # and no Newton solve
+        # and no step
         counts = count_calls(*BRANCHES)
         fwym(ShapeScale(3.0, 1.0), 1.0 - 1e-6)
         assert counts == {"w0": 0, "wm1": 0}
-        assert solves == []
+        assert math_calls == {"sqrt": 1}
 
     @pytest.mark.parametrize(
         "call",
@@ -908,25 +918,49 @@ class TestWorkCounts:
         ],
         ids=["fwym", "inverse_pdf-principal", "inverse_pdf-secondary", "quantile_a2"],
     )
-    def test_no_solve_below_w0_of_minus_half(self, count_calls, solves, call):
+    def test_no_solve_below_w0_of_minus_half(self, count_calls, math_calls, call):
         # q < 1/2 and W0 < -1/2: one evaluation of the polynomial in s gives
         # the offsets
         counts = count_calls(*POLYNOMIAL)
         call()
         assert counts == {"_offsets": 1, "w0": 0, "wm1": 0}
-        assert solves == []
+        assert math_calls == {"sqrt": 1}
 
     @pytest.mark.parametrize(
-        "branch,want",
-        [(Branch.PRINCIPAL, [True]), (Branch.SECONDARY, [False])],
+        "branch,pieces,want",
+        [
+            (Branch.PRINCIPAL, {"_principal": 1, "_secondary": 0}, {"exp": 1, "log1p": 1}),
+            (Branch.SECONDARY, {"_principal": 0, "_secondary": 1}, {"sqrt": 1, "log1p": 1}),
+        ],
         ids=["principal", "secondary"],
     )
-    def test_inverse_pdf_solves_only_its_branch_above_half(self, solves, branch, want):
+    def test_inverse_pdf_solves_only_its_branch_above_half(
+        self, count_calls, math_calls, branch, pieces, want
+    ):
         # 0.1 of the maximum of ShapeScale(3, 1): q = 0.68; the principal
-        # branch takes its v-form solve and no d-form solve of the
-        # secondary, and the secondary branch the other way round
+        # branch takes its start in x = exp(r - 1) and one step, and the
+        # secondary branch its start in s and one step, neither the other's
+        counts = count_calls((lambertw,), ("_principal", "_secondary", "_offsets"))
         inverse_pdf(0.1 * P_MAX_A3, ShapeScale(3.0, 1.0), branch)
-        assert solves == want
+        assert counts == {**pieces, "_offsets": 0}
+        assert math_calls == want
+
+    @pytest.mark.parametrize(
+        "a,y,want",
+        [
+            (2.0, 0.1, {"sqrt": 1, "exp": 1, "log1p": 2}),  # q = 0.9
+            (1.1, 0.1, {"log": 1, "exp": 1, "log1p": 2}),  # r = -23: de Bruijn's series
+            (1.0001, 0.5, {"log": 2, "exp": 1, "log1p": 1}),  # r - 1 = -6932: log form
+        ],
+        ids=["fitted", "series", "log-form"],
+    )
+    def test_one_step_per_branch_from_half(self, count_calls, math_calls, a, y, want):
+        # each branch once, each step one log1p; the log form of the
+        # principal branch takes none, and ln(scale) is its one log
+        counts = count_calls((lambertw,), ("_principal", "_secondary", "_offsets"))
+        fwym(ShapeScale(a, 1.0), y)
+        assert counts == {"_principal": 1, "_secondary": 1, "_offsets": 0}
+        assert math_calls == want
 
     def test_log_form_cut_skips_wm1(self, count_calls):
         # W0(z) = z there, and the secondary branch is solved in log form

@@ -1,11 +1,13 @@
 """Seeded differential suite: widths, crossings and Lambert values against
 50-digit mpmath, in every band of q = -expm1(r), r = ln(y)/(a-1), and on
 every seam of the kernel: q = 1/2 (r = ln 1/2), below which both branches
-come from the polynomial in s = sqrt(-2r); q = 1 - sqrt(e)/2 at W0 = -1/2
-(r = 1/2 + ln 1/2), where the principal branch switches to v = -W0; and the
-log form at r - 1 = -690. Also q near 1e-3, where the series of an earlier
-kernel ended, shapes a -> 1+ and up to 1e12, and proportions y down to
-5e-324.
+come from the polynomial in s = sqrt(-2r) and from which each takes a
+fitted start and one third-order step; q = 1 - sqrt(e)/2 at W0 = -1/2
+(r = 1/2 + ln 1/2), where the polynomial gives v = -W0 instead of W0 + 1;
+q = 1 - exp(-7) (r = -7), where the secondary branch's start switches from
+the polynomial in s to de Bruijn's series; and the log form at
+r - 1 = -690. Also q near 1e-3, where the series of an earlier kernel
+ended, shapes a -> 1+ and up to 1e12, and proportions y down to 5e-324.
 """
 
 import math
@@ -27,8 +29,7 @@ WIDTH_REL = 4e-16
 CROSS_HW = 1e-14
 W0_ULPS = 2.0
 
-# q at W0 = -1/2 (r = 1/2 + ln 1/2), where the principal branch switches
-# to v = -W0
+# q at W0 = -1/2 (r = 1/2 + ln 1/2), where the polynomial gives v = -W0
 Q_V_FORM = 1.0 - math.sqrt(math.e) / 2.0
 # Bands of q; the edges at 1e-3 and 1.1e-3 bracket the end of an earlier
 # kernel's series, which no path of this one keeps
@@ -41,8 +42,11 @@ BANDS = (
     (0.5, 0.99),
     (0.99, 1.0 - 1e-12),
 )
-# The kernel's two seams in q, and q = 1e-3, the old series seam
-SEAM_QS = (1e-3, Q_V_FORM, 0.5)
+# q at r = -7, where the secondary branch's start switches to de Bruijn's
+# series
+Q_SERIES = -math.expm1(-7.0)
+# The kernel's three seams in q, and q = 1e-3, the old series seam
+SEAM_QS = (1e-3, Q_V_FORM, 0.5, Q_SERIES)
 SEAM_SHAPES = (1.5, 3.0, 101.0)
 EXTREME_CUTS = (
     # a -> 1+: r - 1 far below the log form, the low crossing underflows

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +103,22 @@ class TestQuantile:
             want = float(-(1 + mp.lambertw(z, -1).real))
         assert abs(quantile_a2(p, 1.0) - want) <= 2.0 * math.ulp(want)
 
+
+    @pytest.mark.parametrize("band", ["half", "top"])
+    def test_secondary_branch_within_2_ulps(self, band):
+        # quantile_a2 takes the secondary branch at q = p: the fitted start
+        # in s and one step for p in [1/2, 0.99), de Bruijn's series from
+        # 1 - e**-7 on (worst seen over 8 seeds: 1.76 ulps)
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(23)
+        if band == "half":
+            ps = [rng.uniform(0.5, 0.99) for _ in range(300)]
+        else:
+            ps = [1.0 - math.exp(rng.uniform(math.log(1e-16), math.log(0.01))) for _ in range(300)]
+        for p in ps:
+            with mp.workdps(50):
+                want = float(-(1 + mp.lambertw((mp.mpf(p) - 1) / mp.e, -1).real))
+            assert abs(quantile_a2(p, 1.0) - want) <= 2.0 * math.ulp(want), f"p={p!r}"
 
 class TestMedian:
     def test_frozen_value(self):

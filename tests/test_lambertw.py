@@ -210,8 +210,8 @@ class TestBranchDifference:
     def test_series_and_direct_agree_at_seam(self, q):
         # named for the series in p that an earlier kernel used below
         # q = 1e-3; no path ends there now (the kernel's seams are
-        # r = ln 1/2 and 1/2 + ln 1/2), and the cut in r must still agree
-        # with the branches solved in z
+        # r = ln 1/2, 1/2 + ln 1/2 and -7), and the cut in r must still
+        # agree with the branches solved in z
         z = (q - 1.0) / math.e
         direct = w0(z) - wm1(z)
         assert rel_err(branch_difference_from_log_ratio(math.log1p(-q)), direct) < 1e-9
@@ -271,6 +271,62 @@ class TestOffsets:
     @pytest.mark.parametrize("r", [-0.0, 0.0])
     def test_branch_point_is_exact(self, r):
         assert lambertw._offsets(r) == (0.0, 0.0)
+
+
+# r at each edge of a piece of the kernel: q = 1/2, W0 = -1/2, the start of
+# the secondary branch's series, and the log form (r - 1 = -690)
+PIECE_EDGES = (-LN2, 0.5 - LN2, -7.0, -689.0)
+
+
+def step_rs():
+    """Seeded r where a fitted start and one step give the branches: 300
+    uniform in q in [1 - sqrt(e)/2, 1/2) (v = -W0 from the polynomial in
+    s), 700 uniform in q in [1/2, 0.99), 300 log-uniform in -r from ln 100
+    to 689; then each piece edge and r*(1 +- 1e-12), r*(1 +- 1e-6) around
+    it."""
+    rng = random.Random(19)
+    q_v = 1.0 - math.sqrt(math.e) / 2.0
+    v_band = [math.log1p(-math.exp(rng.uniform(math.log(q_v), math.log(0.5)))) for _ in range(300)]
+    fitted = [math.log1p(-rng.uniform(0.5, 0.99)) for _ in range(700)]
+    tail = [-math.exp(rng.uniform(math.log(math.log(100.0)), math.log(689.0))) for _ in range(300)]
+    edges = [r * (1.0 + k) for r in PIECE_EDGES for k in (-1e-6, -1e-12, 0.0, 1e-12, 1e-6)]
+    return v_band + fitted + tail + edges
+
+
+class TestSteps:
+    """The branches from W0 = -1/2 on, against 100-digit mpmath: v = -W0
+    from the polynomial in s up to q = 1/2, and from there each branch a
+    fitted start and one fixed third-order step."""
+
+    def test_within_ulps_of_mpmath(self):
+        # worst seen over 20 seeds (26 000 r): Wm1 + 1 1.51 ulps, W0 - Wm1
+        # 1.53, v 2.00 in [1 - sqrt(e)/2, 1/2) and 1.82 from q = 1/2 on (the
+        # Newton loops these steps replaced reached 1.82, 2.04 and 30.6)
+        mp = pytest.importorskip("mpmath")
+        for r in step_rs():
+            with mp.workdps(100):
+                z = -mp.exp(mp.mpf(r) - 1)
+                v, wm1_1 = -mp.lambertw(z, 0).real, mp.lambertw(z, -1).real + 1
+                x_low, _, diff = lambertw._cut(r, 1.0)
+                cases = [
+                    (lambertw._secondary(r), wm1_1, 1.75),
+                    (diff, 1 - v - wm1_1, 1.75),
+                    (x_low, v, 2.25),
+                ]
+                if r <= -LN2:
+                    cases.append((lambertw._principal(r, 1.0)[0], v, 2.0))
+                for got, want, bound in cases:
+                    ulps = abs(got - want) / math.ulp(float(want))
+                    assert ulps <= bound, f"r={r!r}: {float(ulps):.2f} ulps"
+
+
+class TestHalleyMessage:
+    def test_names_the_callers_argument(self, monkeypatch):
+        # above z = 1e300 the iteration runs on z scaled by 2**-64; the
+        # error must name the z the caller passed
+        monkeypatch.setattr(lambertw, "_MAX_ITER", 0)
+        with pytest.raises(ArithmeticError, match=r"z=1e\+305$"):
+            w0(1e305)
 
 
 class TestWm1FromLog:
