@@ -57,10 +57,6 @@ _ASYMPTOTIC_SHAPE = 1e4
 # it is rejected; callers often pass y*p_max recomputed with rounding.
 _PMAX_SLACK = 1e-12
 
-# Before Python 3.12 each Branch.SECONDARY is an enum descriptor lookup,
-# about 0.15 us, a sixth of a polynomial-band cut; inverse_pdf tests this
-_SECONDARY = Branch.SECONDARY
-
 _setattr = object.__setattr__
 
 
@@ -314,8 +310,16 @@ def inverse_pdf(p: float, params: ShapeScale, branch: Branch) -> float:
         raise _range_error("density level", p, "be positive")
     m = mode(params)
     lgamma_a, a_log_b = _log_normaliser(params)
-    # m is 0 only where (a-1)*b underflows
-    p_max = _density(m, a - 1.0, b, lgamma_a, a_log_b) if m else 0.0
+    a1 = a - 1.0
+    if m:
+        # p_max is _density at the mode, written out to share ln(m) with r
+        log_m = math.log(m)
+        try:
+            p_max = math.exp(a1 * log_m - m / b - lgamma_a - a_log_b)
+        except OverflowError:
+            raise _overflow_error(f"gamma density at x={m!r}") from None
+    else:
+        p_max = 0.0  # (a-1)*b underflows
     if p > p_max * (1.0 + _PMAX_SLACK):
         raise ValueError(
             f"density level {p!r} exceeds the maximum {p_max!r} of the density"
@@ -323,10 +327,8 @@ def inverse_pdf(p: float, params: ShapeScale, branch: Branch) -> float:
     # The cut's r = ln(p/p_max)/(a-1), assembled in log space so that huge
     # a and tiny p neither overflow nor lose the lead digits; r > 0 is a
     # level at the maximum, up to rounding: the branch point.
-    r = (math.log(p) + lgamma_a + a_log_b) / (a - 1.0) - math.log(m) + 1.0
-    if r > 0.0:  # not min(r, 0.0): that builtin call costs 0.1 us here
-        r = 0.0
-    if branch is _SECONDARY:
+    r = min((math.log(p) + lgamma_a + a_log_b) / a1 - log_m + 1.0, 0.0)
+    if branch is Branch.SECONDARY:
         x = m - m * lambertw._secondary(r)  # _cut's high crossing, one branch solved
     elif r > _LN_HALF:
         x = lambertw._cut(r, m)[0]  # below q = 1/2 both offsets come from one polynomial

@@ -45,8 +45,8 @@ _V_FORM_R = 0.5 + _LN_HALF
 # Below this r the secondary branch starts from de Bruijn's series
 _TAIL_R = -7.0
 
-# exp(r - 1) degrades or underflows below this r - 1: x_low is
-# exp(r - 1 + ln scale), and de Bruijn's series needs only its first term
+# exp(r - 1) degrades or underflows below this r - 1: there W0 = z to
+# double precision, and x_low is exp(r - 1 + ln scale)
 _LOG_FORM_CUT = -690.0
 
 
@@ -65,7 +65,8 @@ def _offsets(r: float, in_v: bool = False) -> tuple[float, float]:
     takes the root's rounding error too, so W0 + 1 = s + ((c + even) - u/3)
     and Wm1 + 1 = ((even - c) - u/3) - s each round once at the end. With
     in_v the first value is v = -W0 = (1 - s) - ((c + even) - u/3) instead,
-    which keeps the digits of a small v; 1 - s is exact for s in [1/2, 2]."""
+    which keeps the digits of a small v; 1 - s is exact for s in [1/2, 2],
+    and the rounding error of u/3 is taken back exactly."""
     u = -2.0 * r
     s = math.sqrt(u)
     if u < 1e-290:
@@ -101,8 +102,13 @@ def _offsets(r: float, in_v: bool = False) -> tuple[float, float]:
         -2.118175684297582e-14))))))))))
     c = odd + ((u - p) - (((hi * hi - p) + 2.0 * hi * lo) + lo * lo)) / (s + s)
     third = u / 3.0
-    tail = (c + even) - third
-    return (1.0 - s) - tail if in_v else s + tail, ((even - c) - third) - s
+    if in_v:
+        # third = u/3 rounds by up to an ulp of v; u - 3*third is
+        # (u - 2*third) - third exactly (Sterbenz's lemma, twice), and even
+        # takes a third of it back
+        even -= ((u - 2.0 * third) - third) / 3.0
+        return (1.0 - s) - ((c + even) - third), ((even - c) - third) - s
+    return s + ((c + even) - third), ((even - c) - third) - s
 
 
 def _secondary(r: float) -> float:
@@ -110,7 +116,7 @@ def _secondary(r: float) -> float:
     up to q = 1/2; else a start within 1.2e-6 relative, one polynomial in
     s = sqrt(-2r) for r > -7 and de Bruijn's series in ln(1 - r) below, then
     one third-order step on d + log1p(-d) = r, whose error is below
-    0.15*e**3 for a start within e (scripts/fit_offsets.py). It serves
+    0.42*e**3 for a start within e (scripts/fit_offsets.py). It serves
     _cut, wm1 and wm1_from_log, and gamma2.quantile_a2, which needs only
     this branch."""
     if r >= _LN_HALF:
@@ -130,13 +136,10 @@ def _secondary(r: float) -> float:
         big = 1.0 - r
         lam = math.log(big)
         t = 1.0 / big
-        if r - 1.0 > _LOG_FORM_CUT:
-            eta = lam * t * (1.0 + t * (1.0 - 0.5 * lam + t * (
-                1.0 + lam * (-1.5 + lam / 3.0) + t * (
-                1.0 + lam * (-3.0 + lam * (11.0 / 6.0 - 0.25 * lam)) + t * (
-                1.0 + lam * (-5.0 + lam * (35.0 / 6.0 + lam * (-25.0 / 12.0 + 0.2 * lam))))))))
-        else:
-            eta = lam * t
+        eta = lam * t * (1.0 + t * (1.0 - 0.5 * lam + t * (
+            1.0 + lam * (-1.5 + lam / 3.0) + t * (
+            1.0 + lam * (-3.0 + lam * (11.0 / 6.0 - 0.25 * lam)) + t * (
+            1.0 + lam * (-5.0 + lam * (35.0 / 6.0 + lam * (-25.0 / 12.0 + 0.2 * lam))))))))
         d = r - (lam + eta)
     # Chebyshev's step: g = d + log1p(-d) - r, g' = -d/(1 - d), g'' = -1/(1 - d)**2
     c = 1.0 - d

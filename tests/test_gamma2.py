@@ -103,7 +103,6 @@ class TestQuantile:
             want = float(-(1 + mp.lambertw(z, -1).real))
         assert abs(quantile_a2(p, 1.0) - want) <= 2.0 * math.ulp(want)
 
-
     @pytest.mark.parametrize("band", ["half", "top"])
     def test_secondary_branch_within_2_ulps(self, band):
         # quantile_a2 takes the secondary branch at q = p: the fitted start
@@ -119,6 +118,7 @@ class TestQuantile:
             with mp.workdps(50):
                 want = float(-(1 + mp.lambertw((mp.mpf(p) - 1) / mp.e, -1).real))
             assert abs(quantile_a2(p, 1.0) - want) <= 2.0 * math.ulp(want), f"p={p!r}"
+
 
 class TestMedian:
     def test_frozen_value(self):
