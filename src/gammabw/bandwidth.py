@@ -294,7 +294,8 @@ def inverse_pdf(p: float, params: ShapeScale, branch: Branch) -> float:
     a > 1 (at a = 1 the density is one-to-one) and 0 < p <= p_max, where
     p_max is the density value at the mode; p may exceed p_max by at most
     1e-12 relative, which is clamped to the mode. Raises ValueError when
-    the abscissa, the mode or p_max overflows double precision.
+    the abscissa or the mode overflows double precision, and where the
+    rounding of the terms of ln(p_max) at huge a overflows p_max.
 
     Within about 1e-12 of p_max the offset of the result from the mode is
     limited by the rounding of lgamma(a) + a*ln(b) in ln(p_max): an error
@@ -311,15 +312,17 @@ def inverse_pdf(p: float, params: ShapeScale, branch: Branch) -> float:
     m = mode(params)
     lgamma_a, a_log_b = _log_normaliser(params)
     a1 = a - 1.0
-    if m:
-        # p_max is _density at the mode, written out to share ln(m) with r
-        log_m = math.log(m)
-        try:
-            p_max = math.exp(a1 * log_m - m / b - lgamma_a - a_log_b)
-        except OverflowError:
+    # p_max is _density at the mode, written out to share ln(m) with r (0
+    # where (a-1)*b underflows)
+    log_m = math.log(m) if m else -math.inf
+    try:
+        p_max = math.exp(a1 * log_m - m / b - lgamma_a - a_log_b)
+    except OverflowError:
+        # p_max <= 1/b: it overflows, above every finite level, only where
+        # 1/b does, and elsewhere only through its terms' rounding at huge a
+        p_max = 1.0 / b
+        if p_max < math.inf:
             raise _overflow_error(f"gamma density at x={m!r}") from None
-    else:
-        p_max = 0.0  # (a-1)*b underflows
     if p > p_max * (1.0 + _PMAX_SLACK):
         raise ValueError(
             f"density level {p!r} exceeds the maximum {p_max!r} of the density"

@@ -13,7 +13,6 @@ a single header row, json is one object with shortest round-trip floats,
 plain is one value per line.
 """
 
-import functools
 import math
 import sys
 from collections.abc import Sequence
@@ -251,11 +250,10 @@ _FLOAT_OPTIONS = frozenset(
 )
 
 
-@functools.cache
 def _build_parser():
-    """The argparse.ArgumentParser, built once per process: parse_args
-    keeps no state in it. Only argv that _plain_args leaves reach it, so
-    argparse is imported here, not at the top."""
+    """The argparse.ArgumentParser of the _COMMANDS table. Only argv that
+    _plain_args leaves reach it, so argparse is imported here, not at the
+    top."""
     import argparse
 
     parser = argparse.ArgumentParser(

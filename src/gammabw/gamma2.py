@@ -76,7 +76,6 @@ def check_transform_identity(p: float, b: float) -> float:
     smaller p the rounding of the complementary level 1 - p dominates).
     """
     _check_level(p)
-    _check_scale(b)
     params = ShapeScale(2.0, b)
     level = p / (_E * b)
     upper = inverse_pdf(level, params, Branch.SECONDARY)

@@ -112,15 +112,15 @@ def _offsets(r: float, in_v: bool = False) -> tuple[float, float]:
 
 
 def _secondary(r: float) -> float:
-    """Wm1 + 1 at z = -exp(r - 1) for r <= 0, with no loop: from _offsets
-    up to q = 1/2; else a start within 1.2e-6 relative, one polynomial in
-    s = sqrt(-2r) for r > -7 and de Bruijn's series in ln(1 - r) below, then
-    one third-order step on d + log1p(-d) = r, whose error is below
-    0.42*e**3 for a start within e (scripts/fit_offsets.py). It serves
-    _cut, wm1 and wm1_from_log, and gamma2.quantile_a2, which needs only
-    this branch."""
+    """Wm1 + 1 at z = -exp(r - 1) for r <= 0, with no loop: up to q = 1/2
+    from _offsets in _cut's form (in_v above W0 = -1/2), so that scale -
+    scale*_secondary(r) is _cut's high crossing bit for bit; else a start
+    within 1.2e-6 relative, one polynomial in s = sqrt(-2r) for r > -7 and
+    de Bruijn's series in ln(1 - r) below, then one third-order step on
+    d + log1p(-d) = r, whose error is below 0.42*e**3 for a start within e
+    (scripts/fit_offsets.py)."""
     if r >= _LN_HALF:
-        return _offsets(r)[1]
+        return _offsets(r, r <= _V_FORM_R)[1]
     if r > _TAIL_R:
         h = math.sqrt(-2.0 * r) - 2.5
         d = (
@@ -227,8 +227,7 @@ def _principal(r: float, scale: float) -> tuple[float, float]:
     third-order step on log1p(G) = x*(1 + G), whose error is below
     0.42*e**3 for a start within e (scripts/fit_offsets.py); there is no
     loop, and the crossing is scale*v. Where r - 1 <= -690, W0 = z, W0 + 1
-    rounds to 1 and the crossing is exp(r - 1 + ln scale). It serves _cut
-    and inverse_pdf, which needs only this branch."""
+    rounds to 1 and the crossing is exp(r - 1 + ln scale)."""
     t = r - 1.0
     if t <= _LOG_FORM_CUT:
         # W0(z) = z to double precision; exp(r - 1) alone may underflow

@@ -423,6 +423,26 @@ class TestInversePdf:
         with pytest.raises(ValueError, match="exceeds the maximum 0.0"):
             inverse_pdf(1e-300, ShapeScale(1.0 + 2.0**-52, 5e-324), Branch.PRINCIPAL)
 
+    @pytest.mark.parametrize("p", [1e300, 1.0])
+    def test_levels_below_a_maximum_that_overflows(self, p):
+        # p_max is about 3.7e309, above every finite level, and both
+        # crossings are representable; the low one is subnormal or 0
+        mp = pytest.importorskip("mpmath")
+        params = ShapeScale(2.0, 1e-310)
+        with mp.workdps(50):
+            lo = float(mp_inverse_pdf(mp, p, params, Branch.PRINCIPAL))
+            hi = float(mp_inverse_pdf(mp, p, params, Branch.SECONDARY))
+        assert abs(inverse_pdf(p, params, Branch.PRINCIPAL) - lo) <= math.ulp(0.0)
+        assert rel_err(inverse_pdf(p, params, Branch.SECONDARY), hi) <= 1e-15
+
+    @pytest.mark.parametrize("a", [3e20, 1e50])
+    def test_maximum_overflowed_by_rounding_answers_no_level(self, a):
+        # p_max is about 1/(3*sqrt(2*pi*a)), far below 1; the terms of its
+        # log cancel from about 1e22, and their rounding overflows it
+        for branch in Branch:
+            with pytest.raises(ValueError):
+                inverse_pdf(1.0, ShapeScale(a, 3.0), branch)
+
     def test_branch_must_be_enum_member(self):
         with pytest.raises(TypeError):
             inverse_pdf(0.1, ShapeScale(3.0, 2.0), "principal")
@@ -718,7 +738,7 @@ def seeded_shapes(seed):
     """Shapes in every regime of a unit-scale FWHM cut, z = -exp(ln(1/2)/(a-1) - 1):
     the log form (a - 1 below about 1e-3), the fitted starts with one step
     each, and the polynomial in s (a above 2), up to 1e300, plus a = 1 and
-    fixed shapes on the seams of earlier kernels."""
+    fixed regression shapes."""
     rng = random.Random(seed)
     shapes = [1.0, 1.0 + 1e-7, 1.0 + 2.0**-52, 1.001, 1.0014, 694.0, 700.0, 1e300]
     shapes += [1.0 + math.exp(rng.uniform(math.log(1e-7), math.log(1.4e-3))) for _ in range(200)]
@@ -890,10 +910,9 @@ class TestWorkCounts:
         return counts
 
     @pytest.mark.parametrize("fn", [fwym, octave_bandwidth])
-    def test_halley_regime_cut(self, count_calls, math_calls, fn):
-        # q = 0.29, above W0 = -1/2 (the regime Halley's method in z once
-        # served): one evaluation of the polynomial in s gives the secondary
-        # branch and v = -W0, with no step
+    def test_v_form_cut(self, count_calls, math_calls, fn):
+        # q = 0.29, above W0 = -1/2: one evaluation of the polynomial in s
+        # gives the secondary branch and v = -W0, with no step
         counts = count_calls(*POLYNOMIAL)
         fn(ShapeScale(3.0, 1.0), 0.5)
         assert counts == {"_offsets": 1, "w0": 0, "wm1": 0}

@@ -491,9 +491,6 @@ class TestRecordWriter:
 
 
 class TestParserReuse:
-    def test_parser_built_once(self):
-        assert cli._build_parser() is cli._build_parser()
-
     @pytest.mark.parametrize(
         "bad",
         [

@@ -6,8 +6,8 @@ fitted start and one third-order step; q = 1 - sqrt(e)/2 at W0 = -1/2
 (r = 1/2 + ln 1/2), where the polynomial gives v = -W0 instead of W0 + 1;
 q = 1 - exp(-7) (r = -7), where the secondary branch's start switches from
 the polynomial in s to de Bruijn's series; and the log form at
-r - 1 = -690. Also q near 1e-3, where the series of an earlier kernel
-ended, shapes a -> 1+ and up to 1e12, and proportions y down to 5e-324.
+r - 1 = -690. Also q near 1e-3, shapes a -> 1+ and up to 1e12, and
+proportions y down to 5e-324.
 """
 
 import math
@@ -16,6 +16,7 @@ import random
 import pytest
 from conftest import mp_cut
 
+from gammabw import lambertw
 from gammabw.bandwidth import ShapeScale, fwym
 from gammabw.lambertw import w0
 
@@ -31,8 +32,7 @@ W0_ULPS = 2.0
 
 # q at W0 = -1/2 (r = 1/2 + ln 1/2), where the polynomial gives v = -W0
 Q_V_FORM = 1.0 - math.sqrt(math.e) / 2.0
-# Bands of q; the edges at 1e-3 and 1.1e-3 bracket the end of an earlier
-# kernel's series, which no path of this one keeps
+# Bands of q
 BANDS = (
     (1e-14, 1e-3),
     (1e-3, 1.1e-3),
@@ -45,8 +45,10 @@ BANDS = (
 # q at r = -7, where the secondary branch's start switches to de Bruijn's
 # series
 Q_SERIES = -math.expm1(-7.0)
-# The kernel's three seams in q, and q = 1e-3, the old series seam
+# The kernel's three seams in q, and q = 1e-3
 SEAM_QS = (1e-3, Q_V_FORM, 0.5, Q_SERIES)
+# The same seams in r, read from the kernel, so that they follow its constants
+SEAM_RS = (lambertw._LN_HALF, lambertw._V_FORM_R, lambertw._TAIL_R)
 SEAM_SHAPES = (1.5, 3.0, 101.0)
 EXTREME_CUTS = (
     # a -> 1+: r - 1 far below the log form, the low crossing underflows
@@ -108,6 +110,16 @@ def test_cuts_across_q_seam(a, q_seam):
     for step in (-1e-6, -1e-12, 0.0, 1e-12, 1e-6):
         y = math.exp((a - 1.0) * math.log1p(-q_seam * (1.0 + step)))
         assert_cut(a, 1.7, y)
+
+
+@pytest.mark.parametrize("r_seam", SEAM_RS)
+@pytest.mark.parametrize("shape", SEAM_SHAPES)
+def test_cuts_across_r_seam(shape, r_seam):
+    # built in r, so that no seam is out of reach of q*(1 + 1e-6) < 1; the
+    # shape is capped so that y = exp((a-1)*r) stays a normal double
+    a = min(shape, 1.0 + 700.0 / abs(r_seam))
+    for step in (-1e-6, -1e-12, 0.0, 1e-12, 1e-6):
+        assert_cut(a, 1.7, math.exp((a - 1.0) * r_seam * (1.0 + step)))
 
 
 @pytest.mark.parametrize("a", [1.01, 1.5, 2.0])

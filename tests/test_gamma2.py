@@ -44,12 +44,18 @@ class TestCdf:
         "b,message",
         [
             (math.inf, "scale parameter b must be finite, got inf"),
+            (-math.inf, "scale parameter b must be finite, got -inf"),
             (math.nan, "scale parameter b must be finite, got nan"),
+            (0.0, "scale parameter b must be positive, got 0.0"),
             (-2.0, "scale parameter b must be positive, got -2.0"),
         ],
     )
     def test_scale_messages(self, b, message):
-        for call in (lambda: cdf_a2(1.0, b), lambda: quantile_a2(0.5, b)):
+        for call in (
+            lambda: cdf_a2(1.0, b),
+            lambda: quantile_a2(0.5, b),
+            lambda: check_transform_identity(0.5, b),
+        ):
             with pytest.raises(ValueError) as exc:
                 call()
             assert str(exc.value) == message

@@ -207,18 +207,15 @@ class TestBranchDifference:
         assert values[-1] < 2e-6
 
     @pytest.mark.parametrize("q", [9.0e-4, 9.9e-4, 1.0e-3, 1.01e-3, 1.1e-3])
-    def test_series_and_direct_agree_at_seam(self, q):
-        # named for the series in p that an earlier kernel used below
-        # q = 1e-3; no path ends there now (the kernel's seams are
-        # r = ln 1/2, 1/2 + ln 1/2 and -7), and the cut in r must still
-        # agree with the branches solved in z
+    def test_cut_and_z_solves_agree_near_q_1e3(self, q):
+        # the cut in r agrees with the branches solved in z
         z = (q - 1.0) / math.e
         direct = w0(z) - wm1(z)
         assert rel_err(branch_difference_from_log_ratio(math.log1p(-q)), direct) < 1e-9
 
     def test_matches_direct_subtraction_midrange(self):
-        # direct subtraction is still fine for moderate r; both paths agree
-        # over the whole working range down to the series cutoff
+        # direct subtraction is fine for moderate r; both paths agree for
+        # r from -30 to -1e-3
         for k in range(120):
             r = -(10.0 ** (math.log10(30.0) - (math.log10(30.0) + 3.0) * k / 119))
             z = -math.exp(r - 1.0)
@@ -300,8 +297,7 @@ class TestSteps:
 
     def test_within_ulps_of_mpmath(self):
         # worst seen over 20 seeds (26 000 r): Wm1 + 1 1.47 ulps, W0 - Wm1
-        # 1.68, v 1.48 in [1 - sqrt(e)/2, 1/2) and 1.82 from q = 1/2 on (the
-        # Newton steps these replaced reached 1.85, 2.12, 1.71 and 30.4)
+        # 1.68, v 1.48 in [1 - sqrt(e)/2, 1/2) and 1.82 from q = 1/2 on
         mp = pytest.importorskip("mpmath")
         for r in step_rs():
             with mp.workdps(100):
@@ -318,6 +314,18 @@ class TestSteps:
                 for got, want, bound in cases:
                     ulps = abs(got - want) / math.ulp(float(want))
                     assert ulps <= bound, f"r={r!r}: {float(ulps):.2f} ulps"
+
+
+class TestOneSecondary:
+    """_secondary alone is _cut's high crossing: each band takes the same
+    form of the branch, so the two agree bit for bit at every r and scale."""
+
+    @pytest.mark.parametrize("m", [1.0, 0.37, 1.7e5, 1e-300])
+    def test_matches_cut_high_crossing(self, m):
+        rng = random.Random(20)
+        log_form = [-math.exp(rng.uniform(math.log(689.0), math.log(1e8))) for _ in range(100)]
+        for r in offset_rs() + step_rs() + log_form:
+            assert m - m * lambertw._secondary(r) == lambertw._cut(r, m)[1], f"r={r!r}"
 
 
 class TestHalleyMessage:
