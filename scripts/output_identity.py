@@ -1,0 +1,303 @@
+"""Check that every public output of gammabw is bit-identical to a revision's.
+
+    python3 scripts/output_identity.py REV
+        take src/ of the git revision REV with git archive into a temporary
+        directory, run the sweep on it and on the working tree's src/, each
+        in its own `python -S` child, and exit 1 naming the first call whose
+        line differs; exit 0 when every line agrees.
+    python3 -S scripts/output_identity.py --sweep SRC
+        print the sweep's lines for the package under the directory SRC.
+
+The sweep is one fixed, seeded list of calls over every public function of
+gammabw.bandwidth, gammabw.lambertw, gammabw.gamma2 and gammabw.oracle.
+Cuts, with r = ln(y)/(a-1), fall on each piece of the Lambert kernel: the
+polynomial in s (_offsets, r above 1/2 + ln 1/2), the v form (r down to
+ln 1/2), the fitted starts and one step from q = 1/2 on (r down to -7), de
+Bruijn's tail below r = -7, and the log form at r - 1 <= -690; also y = 1,
+a = 1 and the error paths. Each call is written as the expression that
+makes it, so its line reads `expr = repr(value)`, or `expr ! Type: message`
+when it raises. Standard library only.
+"""
+
+import importlib
+import io
+import math
+import random
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEED = 21
+MODULES = ("bandwidth", "lambertw", "gamma2", "oracle")
+
+# r = ln(y)/(a-1) on each piece of the kernel: (name, r_min, r_max).
+_V_FORM_R = 0.5 + math.log(0.5)
+R_BANDS = (
+    ("offsets", -0.19, -1e-12),
+    ("v-form", math.log(0.5), _V_FORM_R),
+    ("step", -7.0, math.log(0.5)),
+    ("de-bruijn", -600.0, -7.0),
+)
+
+
+def _each(template: str, rows) -> list[str]:
+    """template filled in from each row of its arguments, written as source."""
+    return [template.format(*([row] if isinstance(row, str) else row)) for row in rows]
+
+
+# Inputs of the edges and error paths, written out.
+FIXED = [
+    # y outside (0, 1], at the branch point y = 1 and at a = 1
+    *_each("{}(ShapeScale({}, 2.0), {})", [
+        (fn, a, y)
+        for fn in ("fwym", "octave_bandwidth")
+        for a in ("3.0", "1.0")
+        for y in ("0.0", "-0.5", "1.5", "nan", "inf", "1.0", "0.5", "1e-300", "5e-324")
+    ]),
+    *_each("fwym_shifted(GammaShapeSpec(ShapeScale({}, 2.0), 3.0, -1.5), {})", [
+        (a, y) for a in ("1.0", "3.0") for y in ("0.25", "1.0", "0.0", "2.0")
+    ]),
+    "fwhm(ShapeScale(1.0, 1.0))",
+    "fwhm(ShapeScale(2.0, 1.0))",
+    # overflow of the mode, of a crossing and of the width
+    *_each("{}(ShapeScale({}, {}), {})", [
+        (fn, a, b, y)
+        for fn in ("fwym", "octave_bandwidth")
+        for a, b, y in (
+            ("1e300", "1e300", "0.5"),
+            ("2.0", "1e308", "0.5"),
+            ("1.0", "1e308", "1e-300"),
+            ("1.0001", "5e-324", "0.5"),
+            ("1.0000000000000002", "1.0", "1e-300"),
+        )
+    ]),
+    "fwym_shifted(GammaShapeSpec(ShapeScale(2.0, 1e307), s=-1.7e308), 0.5)",
+    "fwym_shifted(GammaShapeSpec(ShapeScale(2.0, 1e308)), 0.5)",
+    # the value classes and their checks
+    *_each("ShapeScale({}, {})", [
+        ("2", "1"), ("0.5", "1.0"), ("nan", "1.0"), ("inf", "1.0"),
+        ("2.0", "0.0"), ("2.0", "-1.0"), ("2.0", "inf"), ("2.0", "nan"),
+    ]),
+    *_each("GammaShapeSpec(ShapeScale(2.0, 1.0), {}, {})", [
+        ("1.0", "0.0"), ("0.0", "0.0"), ("-2.0", "0.0"), ("nan", "0.0"), ("1.0", "inf"), ("1.0", "nan"),
+    ]),
+    *_each("WidthResult({})", [
+        "0.25, 2.75, 2.5, 1.0, 0.5", "0.0, inf, 1.0, 0.5, 0.5", "0.0, 1.0, inf, 0.5, 0.5",
+        "0.0, 1.0, nan, 0.5, 0.5", "0.0, 1.0, 1.0, 2.0, 0.5", "0.0, 1.0, -1.0, 0.5, 0.5",
+        "-inf, -inf, 1.0, -inf, 0.5",
+    ]),
+    *_each("OctaveResult({})", [
+        "8.0, 0.5, 4.0", "inf, 1.0, 2.0", "1.0, 2.0, 1.0",
+        "1.0, -1.0, 1.0", "2.0, 1.0, -1.0", "2.0, 1.0, nan",
+    ]),
+    # densities
+    *_each("gamma_pdf({}, ShapeScale({}, {}))", [
+        ("0.0", "1.0", "2.0"), ("0.0", "3.0", "2.0"), ("0.0", "1.0", "1e-309"), ("-1.0", "3.0", "2.0"),
+        ("inf", "3.0", "2.0"), ("nan", "3.0", "2.0"), ("1.0", "3e305", "1.0"), ("1e-300", "1.0", "1e-300"),
+        ("1e300", "1e10", "1e300"),
+    ]),
+    *_each("gamma_pdf_values({}, ShapeScale({}))", [
+        ("[0.0, 1.0, 4.0, 1e300]", "3.0, 2.0"), ("iter([0.5, 2.0])", "1.0, 0.5"),
+        ("[1.0, -1.0]", "3.0, 2.0"), ("[0.0, 1.0]", "3e305, 1.0"),
+    ]),
+    *_each("gamma_shaped({}, GammaShapeSpec(ShapeScale({}, {}), {}, {}))", [
+        ("0.0", "1.0", "2.0", "3.0", "0.0"), ("1.0", "1.0", "2.0", "3.0", "-1.0"),
+        ("0.0", "3.0", "2.0", "1.0", "0.0"), ("-1.0", "3.0", "2.0", "1.0", "0.0"),
+        ("1e300", "100.0", "1e300", "1e300", "0.0"), ("1e-300", "2.0", "1.0", "1e300", "0.0"),
+        ("1000.0", "1.0", "1.0", "1e300", "0.0"), ("1e308", "1e300", "1e300", "1.0", "0.0"),
+    ]),
+    *_each("mode(ShapeScale({}))", ["3.0, 2.0", "1.0, 5.0", "1e300, 1e300"]),
+    # the inverse density and its errors
+    *_each("inverse_pdf({}, ShapeScale({}), {})", [
+        ("0.1", "3.0, 2.0", "0"), ("0.1", "1.0, 2.0", "Branch.PRINCIPAL"),
+        ("0.0", "3.0, 2.0", "Branch.PRINCIPAL"), ("nan", "3.0, 2.0", "Branch.SECONDARY"),
+        ("1.0", "3.0, 2.0", "Branch.SECONDARY"), ("1e-300", "1.0001, 5e-324", "Branch.PRINCIPAL"),
+        ("1e-30", "1e19, 0.7", "Branch.PRINCIPAL"), ("1e-300", "2.0, 1e300", "Branch.SECONDARY"),
+    ]),
+    # the normal-curve comparison
+    *_each("gaussian_fwhm_approx(ShapeScale({}))", ["1.0, 1.0", "1e300, 1e300"]),
+    *_each("approx_proportional_error(ShapeScale({}, 1.0))", [
+        "1.0", "2.0", "1e4", "1.0000000001e4", "1e300",
+    ]),
+    *_each("gaussian_comparison({})", [
+        "[1.0, 2.0, 3.0, 1e4, 2e4, 1e300]", "iter([2.0, 0.5])", "[2.0, nan]", "[]",
+    ]),
+    # Lambert W
+    *_each("w0({})", [
+        "0.0", "-0.36787944117144233", "-0.3678794411714424", "-0.36787944117144245", "-0.368", "-0.1",
+        "-1e-300", "5e-324", "1.0", "2.718281828459045", "10.0", "1e300", "inf", "nan",
+    ]),
+    *_each("wm1({})", [
+        "-0.36787944117144233", "-0.36787944117144245", "-0.368", "-0.2", "-1e-300", "-5e-324", "-2e-310",
+        "0.0", "1.0", "-inf", "nan",
+    ]),
+    *_each("wm1_from_log({})", [
+        "-1.0", "-0.9999999999999996", "-0.999", "-1e-300", "-2.5", "-1e6", "-1e300", "-inf", "nan",
+    ]),
+    *_each("branch_difference_from_log_ratio({})", [
+        "0.0", "-0.0", "-5e-324", "1e-300", "-1e300", "-inf", "nan",
+    ]),
+    # the Gamma(2, b) helpers
+    *_each("cdf_a2({}, {})", [
+        ("0.0", "1.0"), ("1e-10", "1.0"), ("3.0", "2.0"), ("1e300", "1e-300"),
+        ("-1.0", "1.0"), ("1.0", "0.0"), ("1.0", "nan"), ("1.0", "inf"),
+    ]),
+    *_each("quantile_a2({}, {})", [
+        ("0.5", "1.0"), ("1e-300", "1.0"), ("0.999999", "1e306"), ("0.0", "1.0"), ("1.0", "1.0"),
+        ("0.5", "-1.0"), ("0.5", "nan"),
+    ]),
+    *_each("median_a2({})", ["1.0", "1e-300", "1e308", "0.0", "inf"]),
+    *_each("check_transform_identity({}, {})", [
+        ("0.5", "1.0"), ("0.001", "1e-3"), ("0.999", "1e3"), ("0.0", "1.0"), ("0.5", "0.0"), ("0.5", "nan"),
+    ]),
+    # the oracle
+    *_each("oracle_lambert_w({}, {})", [
+        ("-0.36787944117144233", "Branch.PRINCIPAL"), ("-0.2", "Branch.PRINCIPAL"),
+        ("5.0", "Branch.PRINCIPAL"), ("-0.5", "Branch.PRINCIPAL"), ("nan", "Branch.PRINCIPAL"),
+        ("-0.2", "Branch.SECONDARY"), ("-1e-300", "Branch.SECONDARY"), ("0.1", "Branch.SECONDARY"),
+        ("-0.2", "-1"),
+    ]),
+    *_each("oracle_offsets({}, {})", [
+        ("3.0", "0.5"), ("1e6", "0.999"), ("1.001", "1e-300"),
+        ("1.0", "0.5"), ("3.0", "1.0"), ("3.0", "0.0"),
+    ]),
+    *_each("oracle_crossings(GammaShapeSpec(ShapeScale({}, {}), 1.0, {}), {})", [
+        ("3.0", "2.0", "0.0", "0.5"), ("3.0", "2.0", "-1.0", "0.25"), ("2.0", "1e308", "0.0", "1e-300"),
+        ("1.0", "2.0", "0.0", "0.5"),
+    ]),
+    *_each("oracle_median_a2({})", ["1.0", "1e-300", "1e300", "1.7e308", "0.0"]),
+]
+
+
+def _loguniform(rng: random.Random, lo: float, hi: float) -> float:
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def _cut_inputs(rng: random.Random) -> list[tuple[float, float, float]]:
+    """Seeded (a, b, y), 30 with r = ln(y)/(a-1) on each piece of the kernel."""
+    cuts = []
+    for _, r_lo, r_hi in R_BANDS:
+        for _ in range(30):
+            r = -_loguniform(rng, -r_hi, -r_lo)
+            # a - 1 <= 700/-r keeps y = exp(r*(a - 1)) a normal double
+            a = _loguniform(rng, 1.01, min(1e6, 1.0 - 700.0 / r))
+            cuts.append((a, _loguniform(rng, 1e-9, 1e9), math.exp(r * (a - 1.0))))
+    # the log form, r - 1 <= -690: a is then just above 1
+    for _ in range(30):
+        y = math.exp(rng.uniform(-700.0, -1.0))
+        a = 1.0 + math.log(y) / rng.uniform(-3000.0, -689.5)
+        cuts.append((a, _loguniform(rng, 1e-9, 1e9), y))
+    return cuts
+
+
+def calls() -> list[str]:
+    """The sweep's calls, as expressions over the public names."""
+    rng = random.Random(SEED)
+    out = list(FIXED)
+    for a, b, y in _cut_inputs(rng):
+        params = f"ShapeScale({a!r}, {b!r})"
+        spec = f"GammaShapeSpec({params}, {rng.uniform(0.1, 10.0)!r}, {rng.uniform(-5.0, 5.0)!r})"
+        r = math.log(y) / (a - 1.0)
+        out += [
+            f"fwym({params}, {y!r})",
+            f"octave_bandwidth({params}, {y!r})",
+            f"fwym_shifted({spec}, {y!r})",
+            f"fwhm({params})",
+            f"branch_difference_from_log_ratio({r!r})",
+            f"w0({-math.exp(r - 1.0)!r})",
+            f"wm1({-math.exp(r - 1.0)!r})",
+            f"wm1_from_log({r - 1.0!r})",
+        ]
+        # the density level at proportion y of the maximum, on both sides
+        m = (a - 1.0) * b
+        log_p = (a - 1.0) * math.log(m) - m / b - math.lgamma(a) - a * math.log(b) + math.log(y)
+        if -700.0 < log_p < 700.0:
+            for branch in ("PRINCIPAL", "SECONDARY"):
+                out.append(f"inverse_pdf({math.exp(log_p)!r}, {params}, Branch.{branch})")
+        out.append(f"gamma_pdf({rng.choice((0.5, 1.0, 2.0)) * m!r}, {params})")
+    for _ in range(40):
+        p, b = rng.uniform(0.001, 0.999), _loguniform(rng, 1e-9, 1e9)
+        out += [
+            f"quantile_a2({p!r}, {b!r})",
+            f"cdf_a2({p * b!r}, {b!r})",
+            f"check_transform_identity({p!r}, {b!r})",
+        ]
+    for _ in range(30):
+        a, b, y = _loguniform(rng, 1.01, 1e6), _loguniform(rng, 1e-2, 1e2), rng.choice((0.1, 0.5, 0.9))
+        out.append(f"oracle_crossings(GammaShapeSpec(ShapeScale({a!r}, {b!r})), {y!r})")
+    for _ in range(30):
+        z = -math.exp(rng.uniform(-700.0, -1.0))
+        out += [f"w0({z!r})", f"wm1({z!r})", f"w0({-z * rng.uniform(0.5, 1e3)!r})"]
+    shapes = [_loguniform(rng, 1.0, 1e17) for _ in range(40)]
+    out.append(f"gaussian_comparison({shapes!r})")
+    return out
+
+
+def sweep(src: str) -> list[str]:
+    """One line per call of the sweep, run on the package under src."""
+    sys.path.insert(0, src)
+    names = {"inf": math.inf, "nan": math.nan}
+    for name in MODULES:
+        module = importlib.import_module(f"gammabw.{name}")
+        names.update({key: getattr(module, key) for key in module.__all__})
+    lines = []
+    for expr in calls():
+        try:
+            value = eval(expr, names)
+        except Exception as exc:  # an error is an output to compare
+            lines.append(f"{expr} ! {type(exc).__name__}: {exc}")
+        else:
+            lines.append(f"{expr} = {value!r}")
+    return lines
+
+
+def run_sweep(src: Path) -> list[str]:
+    """The sweep's lines from a python -S child on the package under src."""
+    done = subprocess.run(
+        [sys.executable, "-S", str(Path(__file__).resolve()), "--sweep", str(src)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return done.stdout.splitlines()
+
+
+def compare(rev: str) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True, check=True
+        )
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            if hasattr(tarfile, "data_filter"):
+                tar.extractall(tmp, filter="data")
+            else:
+                tar.extractall(tmp)
+        theirs = run_sweep(Path(tmp) / "src")
+    ours = run_sweep(ROOT / "src")
+    for i, (old, new) in enumerate(zip(theirs, ours)):
+        if old != new:
+            print(f"call {i + 1} differs:\n  {rev}: {old}\n  working tree: {new}")
+            return 1
+    if len(theirs) != len(ours):
+        print(f"{rev} gave {len(theirs)} lines, the working tree {len(ours)}")
+        return 1
+    errors = sum(" ! " in line for line in ours)
+    print(f"{len(ours)} calls ({errors} raising) identical to {rev}")
+    return 0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--sweep":
+        sys.stdout.write("".join(f"{line}\n" for line in sweep(argv[1])))
+        return 0
+    if len(argv) == 1 and not argv[0].startswith("-"):
+        return compare(argv[0])
+    print(__doc__.split("\n\n")[1], file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -8,7 +8,9 @@ from conftest import mp_cut, rel_err
 
 from gammabw.bandwidth import (
     GammaShapeSpec,
+    OctaveResult,
     ShapeScale,
+    WidthResult,
     approx_proportional_error,
     fwhm,
     fwym,
@@ -62,10 +64,10 @@ NEAR_PEAK_CUTS = (
 # 50-digit mpmath low crossing of ShapeScale(1.5, 1e300) at y = 1e-300,
 # where z = -exp(r - 1) underflows though the crossing does not.
 XLOW_LOG_FORM = 1.8393972058572118e-301
-# The worst width error, 2.3e-13 relative against 50-digit mpmath, of 2 776
-# seeded cuts with q >= 1e-3 above the log form when they were solved by
-# Halley's method in z: (a, y).
-HALLEY_WORST_CUT = (14.21175595577209, 0.13961872590267926)
+# A cut at q = 0.14, where the polynomial in s gives both offsets: (a, y).
+# Of 2 776 seeded cuts with q >= 1e-3 above the log form, an earlier solve
+# had its worst width error, 2.3e-13 relative, here.
+OFFSETS_CUT = (14.21175595577209, 0.13961872590267926)
 # Inputs whose crossings or width overflow double precision: (a, b, y).
 OVERFLOWING = ((2.0, 1e308, 0.5), (1e300, 1e300, 0.5), (1.0, 1e308, 1e-300))
 # Library calls on the edge of double precision and what they give: a
@@ -604,12 +606,12 @@ class TestNearPeak:
         assert res.x_low == res.x_high == res.mode == 0.0
 
 
-def halley_cuts(n, seed):
+def kernel_cuts(n, seed):
     """n seeded (a, y) with a in [1.1, 1e4] and q = -expm1(ln(y)/(a-1)) >= 1e-3
     above the log form: half log-uniform in q up to 1/2, half log-uniform in
     -ln(1 - q) from ln 2 to 689."""
     rng = random.Random(seed)
-    cuts = [HALLEY_WORST_CUT]
+    cuts = [OFFSETS_CUT]
     while len(cuts) < n:
         a = math.exp(rng.uniform(math.log(1.1), math.log(1e4)))
         if rng.random() < 0.5:
@@ -624,18 +626,17 @@ def halley_cuts(n, seed):
     return cuts
 
 
-class TestHalleyRegime:
+class TestKernelAboveLogForm:
     """Cuts with q >= 1e-3 above the log form against 50-digit mpmath.
 
-    The class keeps the name of the Halley solve in z that once served
-    these cuts. Now the polynomial in s gives them below q = 1/2 (v = -W0
-    above W0 = -1/2) and a fitted start with one third-order step per branch
-    above, and widths are within 4e-16 (worst seen 3.7e-16).
+    The polynomial in s gives them below q = 1/2 (v = -W0 above W0 = -1/2)
+    and a fitted start with one third-order step per branch above, and
+    widths are within 4e-16 (worst seen 3.7e-16).
     """
 
-    def test_widths_within_5e13(self):
+    def test_widths_within_4e16(self):
         mp = pytest.importorskip("mpmath")
-        for a, y in halley_cuts(300, seed=5):
+        for a, y in kernel_cuts(300, seed=5):
             with mp.workdps(50):
                 want = float(mp_cut(mp, a, 1.0, y)[2])
             got = fwym(ShapeScale(a, 1.0), y).width
@@ -918,9 +919,9 @@ class TestWorkCounts:
         assert counts == {"_offsets": 1, "w0": 0, "wm1": 0}
         assert math_calls == {"sqrt": 1}
 
-    def test_series_regime_cut(self, count_calls, math_calls):
-        # both offsets come from the polynomial in s, with no w0/wm1 call
-        # and no step
+    def test_offsets_cut_near_branch_point(self, count_calls, math_calls):
+        # q = 5e-7: both offsets come from the polynomial in s, with one
+        # square root, no step and no call of the public branches
         counts = count_calls(*BRANCHES)
         fwym(ShapeScale(3.0, 1.0), 1.0 - 1e-6)
         assert counts == {"w0": 0, "wm1": 0}
@@ -997,3 +998,43 @@ class TestOverflowRule:
                 call()
         else:
             assert call() == want
+
+
+# Kernel rows that break a result check: each maps _cut's (x_low, x_high,
+# W0 - Wm1) to a faulty row.
+KERNEL_FAULTS = {
+    "infinite-high-crossing": lambda x_low, x_high, diff: (x_low, math.inf, diff),
+    "crossings-not-straddling-the-mode": lambda x_low, x_high, diff: (x_high, x_low, diff),
+    "negative-branch-difference": lambda x_low, x_high, diff: (x_low, x_high, -diff),
+}
+
+
+class TestResultChecksOnTheLibraryPath:
+    """fwym, fwym_shifted and octave_bandwidth build their results without
+    the class call; a kernel row that breaks a check raises the error the
+    class gives for the same fields, word for word."""
+
+    @pytest.mark.parametrize("fault", KERNEL_FAULTS.values(), ids=KERNEL_FAULTS.keys())
+    def test_same_error_as_the_class(self, monkeypatch, fault):
+        a, b, y = 3.0, 2.0, 0.25
+        m = (a - 1.0) * b
+        x_low, x_high, diff = fault(*lambertw._cut(math.log(y) / (a - 1.0), m))
+        real_cut = lambertw._cut
+        monkeypatch.setattr(lambertw, "_cut", lambda r, scale: fault(*real_cut(r, scale)))
+        params = ShapeScale(a, b)
+        width = ((a - 1.0) * diff) * b
+        pairs = [
+            (lambda: fwym(params, y), lambda: WidthResult(x_low, x_high, width, m, y)),
+            # the unshifted result is checked first
+            (
+                lambda: fwym_shifted(GammaShapeSpec(params, 2.0, 0.5), y),
+                lambda: WidthResult(x_low, x_high, width, m, y),
+            ),
+            (lambda: octave_bandwidth(params, y), lambda: OctaveResult(x_high, x_low, diff / math.log(2.0))),
+        ]
+        for call, build in pairs:
+            with pytest.raises(ValueError) as want:
+                build()
+            with pytest.raises(ValueError) as got:
+                call()
+            assert str(got.value) == str(want.value)

@@ -7,7 +7,15 @@ import pickle
 
 import pytest
 
-from gammabw.bandwidth import GammaShapeSpec, OctaveResult, ShapeScale, WidthResult
+from gammabw.bandwidth import (
+    GammaShapeSpec,
+    OctaveResult,
+    ShapeScale,
+    WidthResult,
+    fwym,
+    fwym_shifted,
+    octave_bandwidth,
+)
 
 PARAMS = ShapeScale(2.0, 1.0)
 SPEC = GammaShapeSpec(ShapeScale(3.0, 2.0), 1.5, -0.25)
@@ -25,13 +33,36 @@ VALUES = [
     (WIDTH, (0.25, 2.75, 2.5, 1.0, 0.5), "WidthResult(x_low=0.25, x_high=2.75, width=2.5, mode=1.0, y=0.5)"),
     (OCTAVE, (8.0, 0.5, 4.0), "OctaveResult(high=8.0, low=0.5, octaves=4.0)"),
 ]
+IDS = [type(v).__name__ for v, _, _ in VALUES]
+# Results the library builds without the class call, at a = 2, b = 1, y = 1/2,
+# whose fields are those of the goldens fwhm_a2_b1 and octave_a2_b1
+X_LOW, X_HIGH = 0.23196095298653444, 2.6783469900166605
+FWHM, OCTAVES = 2.446386037030126, 3.529389003723367
+VALUES += [
+    (
+        fwym(PARAMS, 0.5),
+        (X_LOW, X_HIGH, FWHM, 1.0, 0.5),
+        f"WidthResult(x_low={X_LOW!r}, x_high={X_HIGH!r}, width={FWHM!r}, mode=1.0, y=0.5)",
+    ),
+    (
+        octave_bandwidth(PARAMS, 0.5),
+        (X_HIGH, X_LOW, OCTAVES),
+        f"OctaveResult(high={X_HIGH!r}, low={X_LOW!r}, octaves={OCTAVES!r})",
+    ),
+    (
+        fwym_shifted(GammaShapeSpec(PARAMS, 3.0, -1.0), 0.5),
+        (X_LOW + 1.0, X_HIGH + 1.0, FWHM, 2.0, 0.5),
+        "WidthResult(x_low=1.2319609529865345, x_high=3.6783469900166605, width=2.446386037030126,"
+        " mode=2.0, y=0.5)",
+    ),
+]
+IDS += ["fwym", "octave_bandwidth", "fwym_shifted"]
 FIELD_NAMES = {
     ShapeScale: ("a", "b"),
     GammaShapeSpec: ("params", "K", "s"),
     WidthResult: ("x_low", "x_high", "width", "mode", "y"),
     OctaveResult: ("high", "low", "octaves"),
 }
-IDS = [type(v).__name__ for v, _, _ in VALUES]
 
 
 def fields(value):
