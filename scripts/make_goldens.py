@@ -1,8 +1,9 @@
 """Regenerate the CLI golden fixtures under tests/golden/.
 
 Every width that ends up in a fixture is first checked against the
-bisection oracle by `python -m gammabw fwhm --verify`; the script refuses
-to write anything if a check fails. Run from anywhere:
+crossing oracle, the certified Newton solve of `oracle_offsets`, by
+`python -m gammabw fwhm --verify`; the script refuses to write anything if
+a check fails. Run from anywhere:
 python scripts/make_goldens.py
 """
 

@@ -33,7 +33,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SEED = 21
 MODULES = ("bandwidth", "lambertw", "gamma2", "oracle")
 
-# r = ln(y)/(a-1) on each piece of the kernel: (name, r_min, r_max).
+# r = ln(y)/(a-1) on each piece of the kernel: (name, r_min, r_max). The
+# sweep states its own bands, so that it does not depend on the tree it
+# tests; tests/test_output_identity.py checks them against the kernel's map.
 _V_FORM_R = 0.5 + math.log(0.5)
 R_BANDS = (
     ("offsets", -0.19, -1e-12),
@@ -41,6 +43,8 @@ R_BANDS = (
     ("step", -7.0, math.log(0.5)),
     ("de-bruijn", -600.0, -7.0),
 )
+# r of the log-form cuts, drawn uniform: r - 1 <= -690
+LOG_FORM_R = (-3000.0, -689.5)
 
 
 def _each(template: str, rows) -> list[str]:
@@ -185,10 +189,10 @@ def _cut_inputs(rng: random.Random) -> list[tuple[float, float, float]]:
             # a - 1 <= 700/-r keeps y = exp(r*(a - 1)) a normal double
             a = _loguniform(rng, 1.01, min(1e6, 1.0 - 700.0 / r))
             cuts.append((a, _loguniform(rng, 1e-9, 1e9), math.exp(r * (a - 1.0))))
-    # the log form, r - 1 <= -690: a is then just above 1
+    # the log form: a is then just above 1
     for _ in range(30):
         y = math.exp(rng.uniform(-700.0, -1.0))
-        a = 1.0 + math.log(y) / rng.uniform(-3000.0, -689.5)
+        a = 1.0 + math.log(y) / rng.uniform(*LOG_FORM_R)
         cuts.append((a, _loguniform(rng, 1e-9, 1e9), y))
     return cuts
 

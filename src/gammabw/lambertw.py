@@ -5,20 +5,19 @@ of u -> u*exp(u): the principal branch (w >= -1, defined for z >= -1/e) and
 the secondary branch (w <= -1, defined for -1/e <= z < 0), and both at a
 cut z = -exp(r - 1) of a unimodal peak at a fixed fraction of its maximum.
 Their offsets d = W + 1 solve d + log1p(-d) = r, and at cuts and near the
-branch point they are found in the exact r without forming z, with no loop.
-Below q = -expm1(r) = 1/2 both come from one fixed polynomial in
-s = sqrt(-2r), the secondary branch at -s, which calls no transcendental
-function (Fukushima, 2013, uses such polynomials); above W0 = -1/2 the same
-evaluation gives v = -W0 instead, to keep the digits of a small v. From
-q = 1/2 on each branch takes a start fitted to within 2e-6 (a polynomial in
-s for Wm1 down to r = -7 and de Bruijn's series below it; a polynomial in
-x = exp(r - 1) for exp(-W0) - 1) and one third-order step, whose error is
-below 0.42 times the cube of the start's: the fixed step count rests on
-that bound, not on a stop test (scripts/fit_offsets.py fits and checks
-every table). The offsets have opposite signs, so neither their difference
-nor the crossings built from them cancel. Away from the branch point w0
-and wm1 take Halley's method in z, except wm1 at subnormal z, which is
-solved in ln(-z).
+branch point they are found in the exact r without forming z, with no loop,
+by pieces; _PIECES lists where each piece of each branch begins. Nearest
+the branch point both come from one fixed polynomial in s = sqrt(-2r), the
+secondary branch at -s, with no transcendental call (Fukushima, 2013, uses
+such polynomials), or from its v form, v = -W0, which keeps a small v's
+digits. Further out each takes a start fitted to within 2e-6 (in s for Wm1,
+de Bruijn's series in its tail; in x = exp(r - 1) for exp(-W0) - 1) and one
+third-order step, whose error is below 0.42 times the cube of the start's:
+the fixed step count rests on that bound, not on a stop test
+(scripts/fit_offsets.py fits and checks every table); farthest out W0 = z.
+The offsets have opposite signs, so neither their difference nor the
+crossings built from them cancel. Away from the branch point w0 and wm1
+take Halley's method in z, except wm1 at subnormal z, solved in ln(-z).
 """
 
 import math
@@ -55,6 +54,37 @@ class Branch(Enum):
 
     PRINCIPAL = 0
     SECONDARY = -1
+
+
+# The pieces of a cut z = -exp(r - 1), r <= 0, of each branch from the
+# branch point down: (name, r at the piece's low end, whether that end
+# belongs to it); the last piece runs to r = -inf. _cut, _secondary and
+# _principal choose by the same constants; q = 1/2 (r = ln 1/2) is the
+# secondary branch's v form and the principal branch's step.
+_PIECES = {
+    Branch.PRINCIPAL: (
+        ("offsets", _V_FORM_R, False),
+        ("v-form", _LN_HALF, False),
+        ("step", 1.0 + _LOG_FORM_CUT, False),
+        ("log-form", -math.inf, True),
+    ),
+    Branch.SECONDARY: (
+        ("offsets", _V_FORM_R, False),
+        ("v-form", _LN_HALF, True),
+        ("step", _TAIL_R, False),
+        ("de-bruijn", -math.inf, True),
+    ),
+}
+
+
+def _piece(branch: Branch, r: float) -> str:
+    """The name of the piece of _PIECES that branch takes at the cut with
+    this r <= 0; not called on the evaluation path."""
+    if r <= 0.0:
+        for name, low, closed in _PIECES[branch]:
+            if r > low or (closed and r == low):
+                return name
+    raise ValueError(f"a cut needs r <= 0, got {r!r}")
 
 
 def _offsets(r: float, in_v: bool = False) -> tuple[float, float]:

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import mp_cut, rel_err
+from conftest import Q_HALF, R_HALF, R_LOG_FORM, mp_cut, rel_err
 
 from gammabw.bandwidth import (
     GammaShapeSpec,
@@ -580,22 +580,21 @@ class TestNearPeak:
         assert err_high <= bound
 
     @pytest.mark.parametrize("a", [3.0, 101.0, 1e5])
-    def test_widths_below_and_across_seam(self, a):
-        # q spans [1e-14, 1e-3) and straddles 1e-3, where an earlier
-        # kernel's series in p ended (both sides now come from the polynomial
-        # in s); the two offsets W + 1 have opposite signs, so their
-        # difference does not cancel
+    def test_widths_on_polynomial_in_s(self, a):
+        # q from 1e-14 to just above 1e-3, where an earlier kernel's series
+        # in p ended: all of it comes from the polynomial in s now, and the
+        # cuts at 1e-3 stay as plain inputs. The two offsets W + 1 have
+        # opposite signs, so their difference does not cancel (worst seen
+        # 2.4e-16)
         mp = pytest.importorskip("mpmath")
         qs = [10.0 ** (-14 + 11 * k / 22) for k in range(22)]
         qs += [1e-3 * (1.0 - 1e-6), 1e-3 * (1.0 + 1e-6), 1.01e-3]
         for q in qs:
             y = math.exp((a - 1.0) * math.log1p(-q))
-            below = -math.expm1(math.log(y) / (a - 1.0)) < 1e-3
-            assert below == (q < 1e-3)
             with mp.workdps(50):
                 want = float(mp_cut(mp, a, 1.0, y)[2])
             got = fwym(ShapeScale(a, 1.0), y).width
-            assert rel_err(got, want) < (2e-15 if below else 4e-16), f"q={q!r}"
+            assert rel_err(got, want) < 4e-16, f"q={q!r}"
 
     def test_log_form_low_crossing_does_not_underflow(self):
         res = fwym(ShapeScale(1.5, 1e300), 1e-300)
@@ -607,27 +606,29 @@ class TestNearPeak:
 
 
 def kernel_cuts(n, seed):
-    """n seeded (a, y) with a in [1.1, 1e4] and q = -expm1(ln(y)/(a-1)) >= 1e-3
-    above the log form: half log-uniform in q up to 1/2, half log-uniform in
-    -ln(1 - q) from ln 2 to 689."""
+    """n seeded (a, y) with a in [1.1, 1e4] and q = -expm1(ln(y)/(a-1)) from
+    the sample's floor, 1e-3, down to the kernel's log form: half
+    log-uniform in q up to 1/2, half log-uniform in -ln(1 - q) from there
+    to the log form."""
     rng = random.Random(seed)
     cuts = [OFFSETS_CUT]
     while len(cuts) < n:
         a = math.exp(rng.uniform(math.log(1.1), math.log(1e4)))
         if rng.random() < 0.5:
-            r = math.log1p(-math.exp(rng.uniform(math.log(1e-3), math.log(0.5))))
+            r = math.log1p(-math.exp(rng.uniform(math.log(1e-3), math.log(Q_HALF))))
         else:
-            r = -math.exp(rng.uniform(math.log(math.log(2.0)), math.log(689.0)))
+            r = -math.exp(rng.uniform(math.log(-R_HALF), math.log(-R_LOG_FORM)))
         y = math.exp(r * (a - 1.0))
         if y > 0.0:
             r = math.log(y) / (a - 1.0)
-            if -math.expm1(r) >= 1e-3 and r - 1.0 > -690.0:
+            if -math.expm1(r) >= 1e-3 and r > R_LOG_FORM:
                 cuts.append((a, y))
     return cuts
 
 
 class TestKernelAboveLogForm:
-    """Cuts with q >= 1e-3 above the log form against 50-digit mpmath.
+    """kernel_cuts, from the sample's floor q = 1e-3 down to the log form,
+    against 50-digit mpmath.
 
     The polynomial in s gives them below q = 1/2 (v = -W0 above W0 = -1/2)
     and a fitted start with one third-order step per branch above, and
@@ -889,26 +890,6 @@ class TestWorkCounts:
     q = 1/2 on each branch takes a fitted start and one third-order step,
     one log1p each. The math functions lambertw calls are counted through
     a stand-in for its math module."""
-
-    @pytest.fixture
-    def math_calls(self, monkeypatch):
-        """Calls of each math function from lambertw, by name."""
-        counts = {}
-
-        class Counting:
-            def __getattr__(self, name):
-                attr = getattr(math, name)
-                if not callable(attr):
-                    return attr
-
-                def counted(*args):
-                    counts[name] = counts.get(name, 0) + 1
-                    return attr(*args)
-
-                return counted
-
-        monkeypatch.setattr(lambertw, "math", Counting())
-        return counts
 
     @pytest.mark.parametrize("fn", [fwym, octave_bandwidth])
     def test_v_form_cut(self, count_calls, math_calls, fn):

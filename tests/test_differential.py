@@ -1,22 +1,20 @@
 """Seeded differential suite: widths, crossings and Lambert values against
 50-digit mpmath, in every band of q = -expm1(r), r = ln(y)/(a-1), and on
-every seam of the kernel: q = 1/2 (r = ln 1/2), below which both branches
-come from the polynomial in s = sqrt(-2r) and from which each takes a
-fitted start and one third-order step; q = 1 - sqrt(e)/2 at W0 = -1/2
-(r = 1/2 + ln 1/2), where the polynomial gives v = -W0 instead of W0 + 1;
-q = 1 - exp(-7) (r = -7), where the secondary branch's start switches from
-the polynomial in s to de Bruijn's series; and the log form at
-r - 1 = -690. Also q near 1e-3, shapes a -> 1+ and up to 1e12, and
-proportions y down to 5e-324.
+every seam of the kernel, read from its map of the pieces of a cut: W0 =
+-1/2, where the polynomial in s = sqrt(-2r) gives v = -W0 instead of
+W0 + 1; q = 1/2, below which both branches come from that polynomial and
+from which each takes a fitted start and one third-order step; the start
+of the secondary branch's de Bruijn tail; and the principal branch's log
+form. Also q near 1e-3, shapes a -> 1+ and up to 1e12, and proportions y
+down to 5e-324.
 """
 
 import math
 import random
 
 import pytest
-from conftest import mp_cut
+from conftest import Q_HALF, Q_TAIL, Q_V_FORM, R_HALF, R_LOG_FORM, R_TAIL, R_V_FORM, mp_cut
 
-from gammabw import lambertw
 from gammabw.bandwidth import ShapeScale, fwym
 from gammabw.lambertw import w0
 
@@ -30,25 +28,21 @@ WIDTH_REL = 4e-16
 CROSS_HW = 1e-14
 W0_ULPS = 2.0
 
-# q at W0 = -1/2 (r = 1/2 + ln 1/2), where the polynomial gives v = -W0
-Q_V_FORM = 1.0 - math.sqrt(math.e) / 2.0
 # Bands of q
 BANDS = (
     (1e-14, 1e-3),
     (1e-3, 1.1e-3),
     (1.1e-3, 1e-2),
     (1e-2, Q_V_FORM),
-    (Q_V_FORM, 0.5),
-    (0.5, 0.99),
+    (Q_V_FORM, Q_HALF),
+    (Q_HALF, 0.99),
     (0.99, 1.0 - 1e-12),
 )
-# q at r = -7, where the secondary branch's start switches to de Bruijn's
-# series
-Q_SERIES = -math.expm1(-7.0)
-# The kernel's three seams in q, and q = 1e-3
-SEAM_QS = (1e-3, Q_V_FORM, 0.5, Q_SERIES)
-# The same seams in r, read from the kernel, so that they follow its constants
-SEAM_RS = (lambertw._LN_HALF, lambertw._V_FORM_R, lambertw._TAIL_R)
+# The kernel's seams in q above the log form, and q = 1e-3, where an
+# earlier kernel switched
+SEAM_QS = (1e-3, Q_V_FORM, Q_HALF, Q_TAIL)
+# The same seams in r
+SEAM_RS = (R_HALF, R_V_FORM, R_TAIL)
 SEAM_SHAPES = (1.5, 3.0, 101.0)
 EXTREME_CUTS = (
     # a -> 1+: r - 1 far below the log form, the low crossing underflows
@@ -124,8 +118,9 @@ def test_cuts_across_r_seam(shape, r_seam):
 
 @pytest.mark.parametrize("a", [1.01, 1.5, 2.0])
 def test_cuts_across_log_form(a):
-    # r - 1 = ln(y)/(a-1) - 1 on both sides of -690
-    for r1 in (-689.0, -690.0 + 1e-9, -690.0, -690.0 - 1e-9, -691.0, -740.0):
+    # r - 1 = ln(y)/(a-1) - 1 on both sides of the log form's seam, -690
+    cut = R_LOG_FORM - 1.0
+    for r1 in (cut + 1.0, cut + 1e-9, cut, cut - 1e-9, cut - 1.0, cut - 50.0):
         y = math.exp((r1 + 1.0) * (a - 1.0))
         assert_cut(a, 3.0, y)
 

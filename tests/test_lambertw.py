@@ -5,9 +5,10 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import rel_err
+from conftest import Q_HALF, Q_V_FORM, R_HALF, R_LOG_FORM, SEAMS, rel_err
 
 from gammabw import lambertw
+from gammabw.bandwidth import ShapeScale, inverse_pdf
 from gammabw.lambertw import (
     Branch,
     branch_difference_from_log_ratio,
@@ -148,6 +149,26 @@ class TestAgainstOracle:
             assert abs(w0(z) - want) <= 2.0 * math.ulp(want), z
 
 
+class TestFromHalfAgainstMpmath:
+    """w0 and wm1 from q = 1 + e*z = 1/2 on, where both still take Halley's
+    method in z, against 40-digit mpmath in ulps: 3 000 seeded z with -z
+    log-uniform in [1e-300, 1/(2e)] and 1 500 uniform in q in [1/2, 1).
+    Each bound is the worst seen on these z (1.77 ulps for w0, 1.02 for
+    wm1) rounded up to a quarter ulp."""
+
+    def test_within_ulps_of_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(22)
+        zs = [-math.exp(rng.uniform(math.log(1e-300), math.log(0.5 * INV_E))) for _ in range(3000)]
+        zs += [(rng.uniform(0.5, 1.0) - 1.0) / math.e for _ in range(1500)]
+        with mp.workdps(40):
+            for z in zs:
+                for fn, k, bound in ((w0, 0, 2.0), (wm1, -1, 1.25)):
+                    want = mp.lambertw(mp.mpf(z), k).real
+                    ulps = abs(fn(z) - want) / math.ulp(float(want))
+                    assert ulps <= bound, f"{fn.__name__}({z!r}): {float(ulps):.2f} ulps"
+
+
 class TestResidualContract:
     @settings(max_examples=300, deadline=None)
     @given(st.floats(min_value=-0.3678, max_value=-1e-300))
@@ -207,8 +228,9 @@ class TestBranchDifference:
         assert values[-1] < 2e-6
 
     @pytest.mark.parametrize("q", [9.0e-4, 9.9e-4, 1.0e-3, 1.01e-3, 1.1e-3])
-    def test_cut_and_z_solves_agree_near_q_1e3(self, q):
-        # the cut in r agrees with the branches solved in z
+    def test_cut_and_z_solves_agree_on_polynomial_in_s(self, q):
+        # the cut in r agrees with the branches solved in z; q = 1e-3, where
+        # an earlier kernel switched, is a plain input
         z = (q - 1.0) / math.e
         direct = w0(z) - wm1(z)
         assert rel_err(branch_difference_from_log_ratio(math.log1p(-q)), direct) < 1e-9
@@ -232,17 +254,14 @@ class TestBranchDifference:
         assert d2 > 1e8
 
 
-LN2 = math.log(2.0)
-
-
 def offset_rs():
-    """Seeded r in [-ln 2, -1e-30], uniform (where the offsets are largest)
-    and log-uniform toward the branch point; then -ln 2 and the doubles just
-    above it, and the smallest subnormal."""
+    """Seeded r in [ln 1/2, -1e-30], where _offsets serves: uniform (where
+    the offsets are largest) and log-uniform toward the branch point; then
+    ln 1/2 and the doubles just above it, and the smallest subnormal."""
     rng = random.Random(12)
-    uniform = [-LN2 * rng.random() for _ in range(700)]
-    log_uniform = [-math.exp(rng.uniform(math.log(1e-30), math.log(LN2))) for _ in range(300)]
-    return uniform + log_uniform + [-LN2 * (1.0 - k * 2.0**-52) for k in range(8)] + [-5e-324]
+    uniform = [R_HALF * rng.random() for _ in range(700)]
+    log_uniform = [-math.exp(rng.uniform(math.log(1e-30), math.log(-R_HALF))) for _ in range(300)]
+    return uniform + log_uniform + [R_HALF * (1.0 - k * 2.0**-52) for k in range(8)] + [-5e-324]
 
 
 class TestOffsets:
@@ -270,23 +289,18 @@ class TestOffsets:
         assert lambertw._offsets(r) == (0.0, 0.0)
 
 
-# r at each edge of a piece of the kernel: q = 1/2, W0 = -1/2, the start of
-# the secondary branch's series, and the log form (r - 1 = -690)
-PIECE_EDGES = (-LN2, 0.5 - LN2, -7.0, -689.0)
-
-
 def step_rs():
     """Seeded r where a fitted start and one step give the branches: 300
     uniform in q in [1 - sqrt(e)/2, 1/2) (v = -W0 from the polynomial in
     s), 700 uniform in q in [1/2, 0.99), 300 log-uniform in -r from ln 100
-    to 689; then each piece edge and r*(1 +- 1e-12), r*(1 +- 1e-6) around
-    it."""
+    to the log form; then each seam of the kernel and r*(1 +- 1e-12),
+    r*(1 +- 1e-6) around it."""
     rng = random.Random(19)
-    q_v = 1.0 - math.sqrt(math.e) / 2.0
-    v_band = [math.log1p(-math.exp(rng.uniform(math.log(q_v), math.log(0.5)))) for _ in range(300)]
-    fitted = [math.log1p(-rng.uniform(0.5, 0.99)) for _ in range(700)]
-    tail = [-math.exp(rng.uniform(math.log(math.log(100.0)), math.log(689.0))) for _ in range(300)]
-    edges = [r * (1.0 + k) for r in PIECE_EDGES for k in (-1e-6, -1e-12, 0.0, 1e-12, 1e-6)]
+    q_band = (math.log(Q_V_FORM), math.log(Q_HALF))
+    v_band = [math.log1p(-math.exp(rng.uniform(*q_band))) for _ in range(300)]
+    fitted = [math.log1p(-rng.uniform(Q_HALF, 0.99)) for _ in range(700)]
+    tail = [-math.exp(rng.uniform(math.log(math.log(100.0)), math.log(-R_LOG_FORM))) for _ in range(300)]
+    edges = [r * (1.0 + k) for r in SEAMS for k in (-1e-6, -1e-12, 0.0, 1e-12, 1e-6)]
     return v_band + fitted + tail + edges
 
 
@@ -309,7 +323,7 @@ class TestSteps:
                     (diff, 1 - v - wm1_1, 1.75),
                     (x_low, v, 2.0),
                 ]
-                if r <= -LN2:
+                if r <= R_HALF:
                     cases.append((lambertw._principal(r, 1.0)[0], v, 2.0))
                 for got, want, bound in cases:
                     ulps = abs(got - want) / math.ulp(float(want))
@@ -323,9 +337,142 @@ class TestOneSecondary:
     @pytest.mark.parametrize("m", [1.0, 0.37, 1.7e5, 1e-300])
     def test_matches_cut_high_crossing(self, m):
         rng = random.Random(20)
-        log_form = [-math.exp(rng.uniform(math.log(689.0), math.log(1e8))) for _ in range(100)]
+        log_form = [-math.exp(rng.uniform(math.log(-R_LOG_FORM), math.log(1e8))) for _ in range(100)]
         for r in offset_rs() + step_rs() + log_form:
             assert m - m * lambertw._secondary(r) == lambertw._cut(r, m)[1], f"r={r!r}"
+
+
+# The work of each piece of a branch evaluated alone: the kernel entries it
+# calls, _offsets named by the form it is called in, and lambertw's math
+# calls. The principal branch's step and log form are _principal's.
+PIECE_WORK = {
+    Branch.PRINCIPAL: {
+        "offsets": (["_offsets"], {"sqrt": 1}),
+        "v-form": (["_offsets(v)"], {"sqrt": 1}),
+        "step": ([], {"exp": 1, "log1p": 1}),
+        "log-form": ([], {"exp": 1, "log": 1}),
+    },
+    Branch.SECONDARY: {
+        "offsets": (["_offsets"], {"sqrt": 1}),
+        "v-form": (["_offsets(v)"], {"sqrt": 1}),
+        "step": ([], {"sqrt": 1, "log1p": 1}),
+        "de-bruijn": ([], {"log": 1, "log1p": 1}),
+    },
+}
+
+
+def mapped_work(entry, r):
+    """The work that the kernel's map names for a kernel entry at r, or for
+    inverse_pdf on a Branch: the entries run, in order, and lambertw's math
+    calls. inverse_pdf takes the secondary branch from _secondary and the
+    principal branch from _cut on the polynomial in s, else _principal."""
+    lo = lambertw._piece(Branch.PRINCIPAL, r)
+    hi = lambertw._piece(Branch.SECONDARY, r)
+    lo_calls, lo_math = PIECE_WORK[Branch.PRINCIPAL][lo]
+    hi_calls, hi_math = PIECE_WORK[Branch.SECONDARY][hi]
+    if entry is Branch.SECONDARY:
+        entry = "_secondary"
+    elif entry is Branch.PRINCIPAL:
+        entry = "_cut" if lo_calls else "_principal"
+    if entry == "_secondary":
+        return ["_secondary", *hi_calls], hi_math
+    if entry == "_principal":
+        return ["_principal", *lo_calls], lo_math
+    if lo_calls:
+        # one evaluation of the polynomial in s gives both branches
+        assert hi == lo, f"r={r!r}: {lo} and {hi} in one evaluation"
+        return ["_cut", *lo_calls], lo_math
+    counts = dict(hi_math)
+    for name, n in lo_math.items():
+        counts[name] = counts.get(name, 0) + n
+    return ["_cut", "_secondary", *hi_calls, "_principal"], counts
+
+
+@pytest.fixture
+def kernel_work(monkeypatch, math_calls):
+    """work(call) runs call and returns the r that its first kernel entry
+    was given, the kernel entries run, in order, with _offsets named by its
+    form, and lambertw's math calls."""
+    calls = []
+    for name in ("_cut", "_secondary", "_principal", "_offsets"):
+
+        def recorded(*args, _name=name, _fn=getattr(lambertw, name)):
+            in_v = _name == "_offsets" and len(args) > 1 and args[1]
+            calls.append((_name + "(v)" if in_v else _name, args[0]))
+            return _fn(*args)
+
+        monkeypatch.setattr(lambertw, name, recorded)
+
+    def work(call):
+        calls.clear()
+        math_calls.clear()
+        call()
+        return calls[0][1], [name for name, _ in calls], dict(math_calls)
+
+    return work
+
+
+class TestPieceMap:
+    """The kernel's map of the pieces of a cut, lambertw._PIECES, holds the
+    code: at every seam, and at r*(1 +- 1e-12) around it, each of _cut,
+    _secondary, _principal and inverse_pdf does the work of the pieces that
+    lambertw._piece names there, counted in kernel entries, the form of
+    _offsets and math calls."""
+
+    def test_pieces_run_from_branch_point_down(self):
+        ends = {lambertw._V_FORM_R, lambertw._LN_HALF, lambertw._TAIL_R, 1.0 + lambertw._LOG_FORM_CUT}
+        for branch in Branch:
+            pieces = lambertw._PIECES[branch]
+            lows = [low for _, low, _ in pieces]
+            assert lows == sorted(set(lows), reverse=True)
+            assert set(lows[:-1]) <= ends
+            assert pieces[-1][1:] == (-math.inf, True)
+            assert lambertw._piece(branch, 0.0) == pieces[0][0]
+            assert lambertw._piece(branch, -math.inf) == pieces[-1][0]
+        assert set(SEAMS) == ends
+
+    @pytest.mark.parametrize("r", [1e-300, math.inf, math.nan])
+    def test_no_piece_off_the_cut(self, r):
+        with pytest.raises(ValueError):
+            lambertw._piece(Branch.PRINCIPAL, r)
+
+    def test_work_tells_the_pieces_apart(self):
+        for branch, pieces in lambertw._PIECES.items():
+            names = [name for name, _, _ in pieces]
+            assert sorted(PIECE_WORK[branch]) == sorted(names)
+            works = [repr(PIECE_WORK[branch][name]) for name in names]
+            assert len(set(works)) == len(works)
+
+    @pytest.mark.parametrize("seam", SEAMS)
+    def test_kernel_takes_the_mapped_pieces(self, kernel_work, seam):
+        for r in (seam * (1.0 - 1e-12), seam, seam * (1.0 + 1e-12)):
+            calls = [
+                ("_cut", lambda: lambertw._cut(r, 1.0)),
+                ("_secondary", lambda: lambertw._secondary(r)),
+            ]
+            if r <= R_HALF:
+                calls.append(("_principal", lambda: lambertw._principal(r, 1.0)))
+            for entry, call in calls:
+                _, entries, counts = kernel_work(call)
+                assert (entries, counts) == mapped_work(entry, r), f"{entry}({r!r})"
+
+    @pytest.mark.parametrize("seam", SEAMS)
+    def test_inverse_pdf_takes_the_mapped_pieces(self, kernel_work, seam):
+        # ShapeScale(2, 1) has its mode at 1 and its maximum at 1/e, so
+        # inverse_pdf forms r = ln(p) + 1, a multiple of 2**-52 near ln 1/2:
+        # p steps an ulp at a time from the seam to the first r on each side
+        params = ShapeScale(2.0, 1.0)
+        walks = [(seam * (1.0 - 1e-12), None), (seam * (1.0 + 1e-12), None)]
+        walks += [(seam, math.inf), (seam, -math.inf)]
+        for target, toward in walks:
+            p = math.exp(target - 1.0)
+            while True:
+                for branch in Branch:
+                    r, entries, counts = kernel_work(lambda: inverse_pdf(p, params, branch))
+                    assert (entries, counts) == mapped_work(branch, r), f"{branch}, r={r!r}"
+                if toward is None or (r > seam if toward > 0.0 else r < seam):
+                    break
+                p = math.nextafter(p, toward)
 
 
 class TestHalleyMessage:
@@ -339,15 +486,19 @@ class TestHalleyMessage:
 
 class TestWm1FromLog:
     @pytest.mark.parametrize("m", [-1.0, -1.0 - 1e-9, -1.5, -5.0, -40.0, -689.0])
-    def test_matches_mpmath_above_log_form_cut(self, m):
+    def test_matches_mpmath_on_every_piece(self, m):
         # solved in m itself: wm1(-exp(m)) would lose q = -expm1(m + 1) to
-        # the rounding of z, 11 000 ulps at m = -1 - 1e-9
+        # the rounding of z, 11 000 ulps at m = -1 - 1e-9; r = m + 1 falls
+        # on each piece of the branch, from the polynomial in s to de
+        # Bruijn's tail
         mp = pytest.importorskip("mpmath")
         with mp.workdps(50):
             want = mp.lambertw(-mp.exp(mp.mpf(m)), -1).real
             assert float(abs(wm1_from_log(m) - want)) <= 2.0 * math.ulp(want)
 
-    def test_continuous_across_log_form_cut(self):
+    def test_de_bruijn_tail_matches_solve_in_z(self):
+        # deep in the tail, where z = -exp(m) is still a normal double; the
+        # secondary branch has no seam here
         for m in (-690.0, -690.0 - 1e-9, -700.0):
             assert rel_err(wm1_from_log(m), wm1(-math.exp(m))) < 1e-13
 

@@ -3,7 +3,7 @@ import random
 import types
 
 import pytest
-from conftest import mp_branches, rel_err
+from conftest import R_LOG_FORM, mp_branches, rel_err
 
 from gammabw import oracle
 from gammabw.bandwidth import GammaShapeSpec, ShapeScale, fwym, mode
@@ -125,7 +125,7 @@ class TestOracleCrossings:
 def offset_cuts(n, seed):
     """n seeded (a, b, y): a - 1 log-uniform in [1e-9, 1e6], q = 1 - y**(1/(a-1))
     log-uniform in [1e-14, 1); the level next below 1 at a spread of shapes;
-    and log-form cuts, where ln(y)/(a-1) - 1 < -690."""
+    and cuts on the kernel's log form, where ln(y)/(a-1) - 1 < -690."""
     rng = random.Random(seed)
     below_one = math.nextafter(1.0, 0.0)
     cuts = [(3.0, 2.0, below_one), (1000.0, 1.0, below_one), (1e6, 1.0, below_one)]
@@ -141,7 +141,7 @@ def offset_cuts(n, seed):
             y = below_one
         else:
             a = 1.0 + math.exp(rng.uniform(math.log(1e-9), math.log(1e-3)))
-            y = math.exp(rng.uniform(-745.0, -690.0 * (a - 1.0)))
+            y = math.exp(rng.uniform(-745.0, (R_LOG_FORM - 1.0) * (a - 1.0)))
         if 0.0 < y < 1.0:
             cuts.append((a, b, y))
     return cuts

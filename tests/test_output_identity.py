@@ -1,7 +1,11 @@
 """The sweep of scripts/output_identity.py, which compares every public
 output with a git revision's, is fixed: two runs on the working tree give
-the same lines, and every public function of the four modules is called."""
+the same lines, and every public function of the four modules is called.
+Its bands of r, which it states itself, match the Lambert kernel's map of
+the pieces of a cut."""
 
+import importlib.util
+import math
 import re
 import subprocess
 import sys
@@ -9,6 +13,7 @@ from pathlib import Path
 
 import gammabw
 from gammabw import bandwidth, gamma2, lambertw, oracle
+from gammabw.lambertw import Branch
 
 SRC = Path(gammabw.__file__).resolve().parent.parent
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_identity.py"
@@ -34,3 +39,24 @@ def test_sweep_is_repeatable_and_covers_every_public_function():
     # values and errors both: each line is `call = value` or `call ! Type: message`
     assert all(" = " in line or " ! " in line for line in first)
     assert any(" ! ValueError: " in line for line in first)
+
+
+def test_bands_sample_every_piece_of_the_kernels_map():
+    # the open interval of each band, and of the log-form draws, lies inside
+    # one piece of each branch (the pieces are intervals, so its two
+    # innermost doubles tell), one of them the band's name, and every piece
+    # of each branch is sampled: a moved seam fails here
+    spec = importlib.util.spec_from_file_location("output_identity", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    bands = [*script.R_BANDS, ("log-form", *script.LOG_FORM_R)]
+    sampled = {branch: set() for branch in Branch}
+    for name, lo, hi in bands:
+        inner = (math.nextafter(lo, 0.0), math.nextafter(hi, -math.inf))
+        for branch in Branch:
+            pieces = {lambertw._piece(branch, r) for r in inner}
+            assert len(pieces) == 1, (name, branch, pieces)
+            sampled[branch] |= pieces
+        assert name in {lambertw._piece(branch, inner[0]) for branch in Branch}, name
+    for branch in Branch:
+        assert sampled[branch] == {name for name, _, _ in lambertw._PIECES[branch]}, branch
