@@ -41,7 +41,6 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _LN_HALF = math.log(0.5)
-_PRINCIPAL_STEP_R = lambertw._LN_HALF  # the kernel's q = 1/2: _principal at and below
 _DBL_MIN = sys.float_info.min
 
 # FWHM of a unit-variance normal curve.
@@ -351,12 +350,11 @@ def inverse_pdf(p: float, params: ShapeScale, branch: Branch) -> float:
     # a and tiny p neither overflow nor lose the lead digits; r > 0 is a
     # level at the maximum, up to rounding: the branch point.
     r = min((math.log(p) + lgamma_a + a_log_b) / a1 - log_m + 1.0, 0.0)
+    # _cut's crossing on that side, one branch solved
     if branch is Branch.SECONDARY:
-        x = m - m * lambertw._secondary(r)  # _cut's high crossing, one branch solved
-    elif r > _PRINCIPAL_STEP_R:
-        x = lambertw._cut(r, m)[0]  # below q = 1/2 both offsets come from one polynomial
+        x = m - m * lambertw._secondary(r)
     else:
-        x = lambertw._principal(r, m)[0]  # _cut's low crossing, one branch solved
+        x = lambertw._principal(r, m)[0]
     if not math.isfinite(x):
         raise _overflow_error(f"abscissa of the density level {p!r} of {params!r}")
     return x

@@ -6,18 +6,19 @@ the secondary branch (w <= -1, defined for -1/e <= z < 0), and both at a
 cut z = -exp(r - 1) of a unimodal peak at a fixed fraction of its maximum.
 Their offsets d = W + 1 solve d + log1p(-d) = r, and at cuts and near the
 branch point they are found in the exact r without forming z, with no loop,
-by pieces; _PIECES lists where each piece of each branch begins. Nearest
-the branch point both come from one fixed polynomial in s = sqrt(-2r), the
-secondary branch at -s, with no transcendental call (Fukushima, 2013, uses
-such polynomials), or from its v form, v = -W0, which keeps a small v's
-digits. Further out each takes a start fitted to within 2e-6 (in s for Wm1,
-de Bruijn's series in its tail; in x = exp(r - 1) for exp(-W0) - 1) and one
-third-order step, whose error is below 0.42 times the cube of the start's:
-the fixed step count rests on that bound, not on a stop test
-(scripts/fit_offsets.py fits and checks every table); farthest out W0 = z.
-The offsets have opposite signs, so neither their difference nor the
-crossings built from them cancel. Away from the branch point w0 and wm1
-take Halley's method in z, except wm1 at subnormal z, solved in ln(-z).
+by pieces; _PIECES lists where each piece of each branch begins. _principal
+and _secondary each take one branch at any cut, _cut both. Nearest the
+branch point both come from _offsets, one fixed polynomial in s = sqrt(-2r),
+the secondary branch at -s, with no transcendental call (Fukushima, 2013),
+or its v form, v = -W0, which keeps a small v's digits. Further out each
+takes a start fitted to within 2e-6 (in s for Wm1, de Bruijn's series in
+its tail; in x = exp(r - 1) for exp(-W0) - 1) and one third-order step,
+whose error is below 0.42 times the cube of the start's: the fixed step
+count rests on that bound, not on a stop test (scripts/fit_offsets.py fits
+and checks every table); farthest out W0 = z. The offsets have opposite
+signs, so neither their difference nor the crossings built from them
+cancel. w0 and wm1 take _principal and _secondary below q = 1/2, and
+Halley's method in z beyond, except wm1 at subnormal z, solved in ln(-z).
 """
 
 import math
@@ -38,7 +39,7 @@ _BRANCH_POINT_MIN = -(1.0 + 4.0 * _EPS) / _E
 # the secondary branch does too, from the polynomial's fit to |s| <= 1.2
 _LN_HALF = math.log(0.5)
 
-# W0 = -1/2 at this r; below it _offsets gives v = -W0, whose digits 1 - d loses
+# W0 = -1/2 here; at and below it _offsets gives v = -W0, whose digits 1 - d loses
 _V_FORM_R = 0.5 + _LN_HALF
 
 # Below this r the secondary branch starts from de Bruijn's series
@@ -58,9 +59,9 @@ class Branch(Enum):
 
 # The pieces of a cut z = -exp(r - 1), r <= 0, of each branch from the
 # branch point down: (name, r at the piece's low end, whether that end
-# belongs to it); the last piece runs to r = -inf. _cut, _secondary and
-# _principal choose by the same constants; q = 1/2 (r = ln 1/2) is the
-# secondary branch's v form and the principal branch's step.
+# belongs to it); the last piece runs to r = -inf. _offsets picks its form,
+# _secondary and _principal their pieces, _cut whether _offsets gives both;
+# q = 1/2 (r = ln 1/2) is the secondary v form and the principal step.
 _PIECES = {
     Branch.PRINCIPAL: (
         ("offsets", _V_FORM_R, False),
@@ -87,21 +88,23 @@ def _piece(branch: Branch, r: float) -> str:
     raise ValueError(f"a cut needs r <= 0, got {r!r}")
 
 
-def _offsets(r: float, in_v: bool = False) -> tuple[float, float]:
-    """(W0 + 1, Wm1 + 1) at z = -exp(r - 1) for -ln 2 <= r <= 0 (q <= 1/2),
-    from one polynomial in s = sqrt(-2r), the secondary branch at -s, with
-    no transcendental call: W + 1 = s - u/3 + s*u*odd(u) + u**2*even(u) in
-    the exact u = s**2, fitted by scripts/fit_offsets.py. The odd tail c
-    takes the root's rounding error too, so W0 + 1 = s + ((c + even) - u/3)
-    and Wm1 + 1 = ((even - c) - u/3) - s each round once at the end. With
-    in_v the first value is v = -W0 = (1 - s) - ((c + even) - u/3) instead,
-    which keeps the digits of a small v; 1 - s is exact for s in [1/2, 2],
-    and the rounding error of u/3 is taken back exactly."""
+def _offsets(r: float, scale: float) -> tuple[float, float, float]:
+    """(low crossing, W0 + 1, Wm1 + 1) at z = -exp(r - 1) for -ln 2 <= r <= 0
+    (q <= 1/2) of a cut at a peak whose mode is scale >= 0, from one
+    polynomial in s = sqrt(-2r), the secondary branch at -s, with no
+    transcendental call: W + 1 = s - u/3 + s*u*odd(u) + u**2*even(u) in the
+    exact u = s**2, fitted by scripts/fit_offsets.py. The odd tail c takes
+    the root's rounding error too, so W0 + 1 = s + ((c + even) - u/3) and
+    Wm1 + 1 = ((even - c) - u/3) - s each round once at the end, and the
+    low crossing is scale - scale*(W0 + 1). At W0 <= -1/2 the v form gives
+    scale*v and 1 - v, v = -W0 = (1 - s) - ((c + even) - u/3), to keep a
+    small v's digits; 1 - s is exact for s in [1/2, 2], and the rounding
+    error of u/3 is taken back exactly."""
     u = -2.0 * r
     s = math.sqrt(u)
     if u < 1e-290:
         # Dekker's products would go subnormal; u/3 is far below an ulp of s
-        return s, -s
+        return scale - scale * s, s, -s
     # Dekker's exact square s*s = p + e from the 26-bit halves of s
     # (math.fma is 3.13+); the root's remainder is (u - s*s)/(2s)
     hi = 134217729.0 * s
@@ -132,25 +135,27 @@ def _offsets(r: float, in_v: bool = False) -> tuple[float, float]:
         -2.118175684297582e-14))))))))))
     c = odd + ((u - p) - (((hi * hi - p) + 2.0 * hi * lo) + lo * lo)) / (s + s)
     third = u / 3.0
-    if in_v:
-        # third = u/3 rounds by up to an ulp of v; u - 3*third is
-        # (u - 2*third) - third exactly (Sterbenz's lemma, twice), and even
-        # takes a third of it back
-        even -= ((u - 2.0 * third) - third) / 3.0
-        return (1.0 - s) - ((c + even) - third), ((even - c) - third) - s
-    return s + ((c + even) - third), ((even - c) - third) - s
+    if r > _V_FORM_R:
+        lo = s + ((c + even) - third)
+        return scale - scale * lo, lo, ((even - c) - third) - s
+    # third = u/3 rounds by up to an ulp of v; u - 3*third is (u - 2*third)
+    # - third exactly (Sterbenz's lemma, twice), and even takes a third of
+    # it back
+    even -= ((u - 2.0 * third) - third) / 3.0
+    v = (1.0 - s) - ((c + even) - third)
+    return scale * v, 1.0 - v, ((even - c) - third) - s
 
 
 def _secondary(r: float) -> float:
-    """Wm1 + 1 at z = -exp(r - 1) for r <= 0, with no loop: up to q = 1/2
-    from _offsets in _cut's form (in_v above W0 = -1/2), so that scale -
+    """Wm1 + 1 at z = -exp(r - 1) for an unchecked r <= 0, with no loop: up
+    to q = 1/2 from _offsets, which _cut calls there too, so that scale -
     scale*_secondary(r) is _cut's high crossing bit for bit; else a start
     within 1.2e-6 relative, one polynomial in s = sqrt(-2r) for r > -7 and
     de Bruijn's series in ln(1 - r) below, then one third-order step on
     d + log1p(-d) = r, whose error is below 0.42*e**3 for a start within e
     (scripts/fit_offsets.py)."""
     if r >= _LN_HALF:
-        return _offsets(r, r <= _V_FORM_R)[1]
+        return _offsets(r, 1.0)[2]
     if r > _TAIL_R:
         h = math.sqrt(-2.0 * r) - 2.5
         d = (
@@ -212,7 +217,7 @@ def w0(z: float) -> float:
             raise ValueError(f"w0 is undefined below -1/e, got z={z!r}")
         q = 0.0
     if q < 0.5:
-        return -_cut(math.log1p(-q), 1.0)[0]
+        return -_principal(math.log1p(-q), 1.0)[0]
     return _halley(z / (1.0 + z) if z <= _E else math.log(z) - math.log(math.log(z)), z)
 
 
@@ -249,15 +254,17 @@ def wm1_from_log(m: float) -> float:
 
 
 def _principal(r: float, scale: float) -> tuple[float, float]:
-    """(-scale*W0, W0 + 1) at z = -exp(r - 1) for an unchecked r <= ln 1/2
-    (q >= 1/2) and scale >= 0: the low crossing of a cut at a peak whose
-    mode is scale, and the principal offset. v = -W0, whose digits 1 - d
-    would lose, is x*(1 + G) with x = exp(r - 1) and G = exp(v) - 1: G
-    starts as x*P(x), within 1.2e-6 relative in 1 + G, and takes one
-    third-order step on log1p(G) = x*(1 + G), whose error is below
-    0.42*e**3 for a start within e (scripts/fit_offsets.py); there is no
-    loop, and the crossing is scale*v. Where r - 1 <= -690, W0 = z, W0 + 1
-    rounds to 1 and the crossing is exp(r - 1 + ln scale)."""
+    """(-scale*W0, W0 + 1) at z = -exp(r - 1) for an unchecked r <= 0 and
+    scale >= 0: the low crossing of a cut at a peak whose mode is scale, and
+    the principal offset, from _offsets below q = 1/2. From q = 1/2 on,
+    v = -W0, whose digits 1 - d would lose, is x*(1 + G) with x = exp(r - 1)
+    and G = exp(v) - 1: G starts as x*P(x), within 1.2e-6 relative in
+    1 + G, and takes one third-order step on log1p(G) = x*(1 + G), whose
+    error is below 0.42*e**3 for a start within e (scripts/fit_offsets.py);
+    there is no loop, and the crossing is scale*v. Where r - 1 <= -690,
+    W0 = z, W0 + 1 rounds to 1 and the crossing is exp(r - 1 + ln scale)."""
+    if r > _LN_HALF:
+        return _offsets(r, scale)[:2]
     t = r - 1.0
     if t <= _LOG_FORM_CUT:
         # W0(z) = z to double precision; exp(r - 1) alone may underflow
@@ -294,19 +301,14 @@ def _cut(r: float, scale: float) -> tuple[float, float, float]:
     """(-scale*W0, -scale*Wm1, W0 - Wm1) at z = -exp(r - 1) for an unchecked
     r <= 0 and scale >= 0: the two crossings of a cut at a peak whose mode
     is scale, and the branch difference, each branch evaluated once and
-    none by a loop. Below q = 1/2 one evaluation of _offsets gives both
-    offsets d = W + 1, and a crossing is scale - scale*d; above W0 = -1/2
-    it gives v = -W0 instead, whose digits 1 - d loses, and the low
-    crossing is scale*v. From q = 1/2 on the branches come from _principal
-    and _secondary, each a fitted start and one third-order step."""
+    none by a loop: below q = 1/2 one evaluation of _offsets gives the low
+    crossing and both offsets d = W + 1, and from q = 1/2 on _secondary and
+    _principal each take a fitted start and one third-order step."""
     if r > _LN_HALF:
-        if r > _V_FORM_R:
-            lo, hi = _offsets(r)
-            return scale - scale * lo, scale - scale * hi, lo - hi
-        v, hi = _offsets(r, True)
-        return scale * v, scale - scale * hi, (1.0 - v) - hi
-    hi = _secondary(r)
-    x_low, lo = _principal(r, scale)
+        x_low, lo, hi = _offsets(r, scale)
+    else:
+        hi = _secondary(r)
+        x_low, lo = _principal(r, scale)
     return x_low, scale - scale * hi, lo - hi
 
 

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import subprocess
 import sys
@@ -96,3 +97,25 @@ def test_tracer_finds_every_name_it_wraps(monkeypatch):
     after = looked_up()
     assert all(wrapped is not fn for wrapped, fn in zip(during, after))
     assert all(fn.__module__.startswith("gammabw.") for fn in after)
+
+
+def test_other_modules_reach_only_the_kernels_branch_entries():
+    # each seam of the Lambert kernel is chosen inside lambertw: the other
+    # modules of the package reach its private names only as attributes of
+    # the module, and only the entries that evaluate a cut's branches
+    reached = set()
+    for path in sorted(Path(lambertw.__file__).parent.glob("*.py")):
+        if path.name == "lambertw.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), path.name)):
+            if isinstance(node, ast.ImportFrom) and node.module in ("lambertw", "gammabw.lambertw"):
+                assert not [alias.name for alias in node.names if alias.name.startswith("_")], path.name
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "lambertw"
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+            ):
+                reached.add(node.attr)
+    assert reached == {"_cut", "_principal", "_secondary"}

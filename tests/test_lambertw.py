@@ -5,7 +5,7 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import Q_HALF, Q_V_FORM, R_HALF, R_LOG_FORM, SEAMS, rel_err
+from conftest import Q_HALF, Q_V_FORM, R_HALF, R_LOG_FORM, R_V_FORM, SEAMS, rel_err
 
 from gammabw import lambertw
 from gammabw.bandwidth import ShapeScale, inverse_pdf
@@ -266,27 +266,34 @@ def offset_rs():
 
 class TestOffsets:
     """lambertw._offsets, both branches below q = 1/2 from one polynomial in
-    s = sqrt(-2r), against 100-digit mpmath."""
+    s = sqrt(-2r), against 100-digit mpmath: the offsets and their
+    difference on the whole band, and the principal branch in the form
+    _offsets picks, W0 + 1 on the offsets piece and v = -W0 on the v form."""
 
     def test_within_ulps_of_mpmath(self):
         # each offset rounds once at the end (worst seen 0.96 and 0.74 ulps
         # over 20 000 uniform r); lo - hi can be 1.25 ulps off even from
-        # correctly rounded offsets (worst seen 1.32)
+        # correctly rounded offsets (worst seen 1.32); v is held to
+        # TestSteps' bound (worst seen here 1.21)
         mp = pytest.importorskip("mpmath")
         for r in offset_rs():
             # the branch point costs log10(1/|r|) digits of z
             with mp.workdps(100 + max(0, int(-math.log10(-r)))):
                 z = -mp.exp(mp.mpf(r) - 1)
                 w0_1, wm1_1 = mp.lambertw(z, 0).real + 1, mp.lambertw(z, -1).real + 1
-                lo, hi = lambertw._offsets(r)
-                cases = ((lo, w0_1, 1.0), (hi, wm1_1, 1.0), (lo - hi, w0_1 - wm1_1, 1.5))
+                x_low, lo, hi = lambertw._offsets(r, 1.0)
+                cases = [(hi, wm1_1, 1.0), (lo - hi, w0_1 - wm1_1, 1.5)]
+                if r > R_V_FORM:
+                    cases.append((lo, w0_1, 1.0))
+                else:
+                    cases.append((x_low, 1 - w0_1, 2.0))
                 for got, want, bound in cases:
                     ulps = abs(got - want) / math.ulp(float(want))
                     assert ulps <= bound, f"r={r!r}: {float(ulps):.2f} ulps"
 
     @pytest.mark.parametrize("r", [-0.0, 0.0])
     def test_branch_point_is_exact(self, r):
-        assert lambertw._offsets(r) == (0.0, 0.0)
+        assert lambertw._offsets(r, 1.0) == (1.0, 0.0, 0.0)
 
 
 def step_rs():
@@ -322,29 +329,40 @@ class TestSteps:
                     (lambertw._secondary(r), wm1_1, 1.75),
                     (diff, 1 - v - wm1_1, 1.75),
                     (x_low, v, 2.0),
+                    (lambertw._principal(r, 1.0)[0], v, 2.0),
                 ]
-                if r <= R_HALF:
-                    cases.append((lambertw._principal(r, 1.0)[0], v, 2.0))
                 for got, want, bound in cases:
                     ulps = abs(got - want) / math.ulp(float(want))
                     assert ulps <= bound, f"r={r!r}: {float(ulps):.2f} ulps"
 
 
+def cut_rs():
+    """Seeded r over every piece of a cut: offset_rs(), step_rs() and 100
+    log-uniform in -r on the log form."""
+    rng = random.Random(20)
+    log_form = [-math.exp(rng.uniform(math.log(-R_LOG_FORM), math.log(1e8))) for _ in range(100)]
+    return offset_rs() + step_rs() + log_form
+
+
 class TestOneSecondary:
-    """_secondary alone is _cut's high crossing: each band takes the same
-    form of the branch, so the two agree bit for bit at every r and scale."""
+    """_secondary alone is _cut's high crossing, and _principal its low one:
+    each band takes the same form of the branch, so they agree bit for bit
+    at every r and scale."""
 
     @pytest.mark.parametrize("m", [1.0, 0.37, 1.7e5, 1e-300])
     def test_matches_cut_high_crossing(self, m):
-        rng = random.Random(20)
-        log_form = [-math.exp(rng.uniform(math.log(-R_LOG_FORM), math.log(1e8))) for _ in range(100)]
-        for r in offset_rs() + step_rs() + log_form:
+        for r in cut_rs():
             assert m - m * lambertw._secondary(r) == lambertw._cut(r, m)[1], f"r={r!r}"
+
+    @pytest.mark.parametrize("m", [1.0, 0.37, 1.7e5, 1e-300])
+    def test_principal_matches_cut_low_crossing(self, m):
+        for r in cut_rs():
+            assert lambertw._principal(r, m)[0] == lambertw._cut(r, m)[0], f"r={r!r}"
 
 
 # The work of each piece of a branch evaluated alone: the kernel entries it
-# calls, _offsets named by the form it is called in, and lambertw's math
-# calls. The principal branch's step and log form are _principal's.
+# calls, _offsets named by the form it takes, and lambertw's math calls.
+# The principal branch's step and log form are _principal's.
 PIECE_WORK = {
     Branch.PRINCIPAL: {
         "offsets": (["_offsets"], {"sqrt": 1}),
@@ -360,20 +378,17 @@ PIECE_WORK = {
     },
 }
 
+# The kernel entry that evaluates each branch alone
+BRANCH_ENTRY = {Branch.PRINCIPAL: "_principal", Branch.SECONDARY: "_secondary"}
+
 
 def mapped_work(entry, r):
-    """The work that the kernel's map names for a kernel entry at r, or for
-    inverse_pdf on a Branch: the entries run, in order, and lambertw's math
-    calls. inverse_pdf takes the secondary branch from _secondary and the
-    principal branch from _cut on the polynomial in s, else _principal."""
+    """The work that the kernel's map names for a kernel entry at r: the
+    entries run, in order, and lambertw's math calls."""
     lo = lambertw._piece(Branch.PRINCIPAL, r)
     hi = lambertw._piece(Branch.SECONDARY, r)
     lo_calls, lo_math = PIECE_WORK[Branch.PRINCIPAL][lo]
     hi_calls, hi_math = PIECE_WORK[Branch.SECONDARY][hi]
-    if entry is Branch.SECONDARY:
-        entry = "_secondary"
-    elif entry is Branch.PRINCIPAL:
-        entry = "_cut" if lo_calls else "_principal"
     if entry == "_secondary":
         return ["_secondary", *hi_calls], hi_math
     if entry == "_principal":
@@ -388,18 +403,44 @@ def mapped_work(entry, r):
     return ["_cut", "_secondary", *hi_calls, "_principal"], counts
 
 
+class FormProbe(float):
+    """A scale that records in ops the products and differences taken with
+    it, where the form of _offsets shows: scale*v alone in the v form,
+    scale - scale*d in the offsets form."""
+
+    def __mul__(self, other):
+        self.ops.append("*")
+        return float(self) * other
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        self.ops.append("-")
+        return float(self) - other
+
+
+# The name of _offsets in the form that the arithmetic on its scale shows
+OFFSETS_FORMS = {("*",): "_offsets(v)", ("*", "-"): "_offsets"}
+
+
 @pytest.fixture
 def kernel_work(monkeypatch, math_calls):
     """work(call) runs call and returns the r that its first kernel entry
-    was given, the kernel entries run, in order, with _offsets named by its
-    form, and lambertw's math calls."""
+    was given, the kernel entries run, in order, with _offsets named by the
+    form it took, and lambertw's math calls."""
     calls = []
     for name in ("_cut", "_secondary", "_principal", "_offsets"):
 
         def recorded(*args, _name=name, _fn=getattr(lambertw, name)):
-            in_v = _name == "_offsets" and len(args) > 1 and args[1]
-            calls.append((_name + "(v)" if in_v else _name, args[0]))
-            return _fn(*args)
+            call = [_name, args[0]]
+            calls.append(call)
+            if _name != "_offsets":
+                return _fn(*args)
+            scale = FormProbe(args[1])
+            scale.ops = []
+            out = _fn(args[0], scale)
+            call[0] = OFFSETS_FORMS.get(tuple(scale.ops), f"_offsets{scale.ops}")
+            return out
 
         monkeypatch.setattr(lambertw, name, recorded)
 
@@ -416,8 +457,8 @@ class TestPieceMap:
     """The kernel's map of the pieces of a cut, lambertw._PIECES, holds the
     code: at every seam, and at r*(1 +- 1e-12) around it, each of _cut,
     _secondary, _principal and inverse_pdf does the work of the pieces that
-    lambertw._piece names there, counted in kernel entries, the form of
-    _offsets and math calls."""
+    lambertw._piece names there, counted in kernel entries, the form that
+    _offsets takes and math calls."""
 
     def test_pieces_run_from_branch_point_down(self):
         ends = {lambertw._V_FORM_R, lambertw._LN_HALF, lambertw._TAIL_R, 1.0 + lambertw._LOG_FORM_CUT}
@@ -449,9 +490,8 @@ class TestPieceMap:
             calls = [
                 ("_cut", lambda: lambertw._cut(r, 1.0)),
                 ("_secondary", lambda: lambertw._secondary(r)),
+                ("_principal", lambda: lambertw._principal(r, 1.0)),
             ]
-            if r <= R_HALF:
-                calls.append(("_principal", lambda: lambertw._principal(r, 1.0)))
             for entry, call in calls:
                 _, entries, counts = kernel_work(call)
                 assert (entries, counts) == mapped_work(entry, r), f"{entry}({r!r})"
@@ -469,10 +509,19 @@ class TestPieceMap:
             while True:
                 for branch in Branch:
                     r, entries, counts = kernel_work(lambda: inverse_pdf(p, params, branch))
-                    assert (entries, counts) == mapped_work(branch, r), f"{branch}, r={r!r}"
+                    assert (entries, counts) == mapped_work(BRANCH_ENTRY[branch], r), f"{branch}, r={r!r}"
                 if toward is None or (r > seam if toward > 0.0 else r < seam):
                     break
                 p = math.nextafter(p, toward)
+
+    @pytest.mark.parametrize("z", [-INV_E, -0.35, -0.3, -0.2])
+    def test_public_entries_take_one_branch_near_branch_point(self, kernel_work, z):
+        # q = 1 + e*z < 1/2: w0 evaluates the principal branch alone and
+        # wm1 the secondary, each from one evaluation of the polynomial in s
+        for fn, branch in ((w0, Branch.PRINCIPAL), (wm1, Branch.SECONDARY)):
+            r, entries, _ = kernel_work(lambda: fn(z))
+            assert entries == mapped_work(BRANCH_ENTRY[branch], r)[0], f"{fn.__name__}({z!r})"
+            assert entries[1:] in (["_offsets"], ["_offsets(v)"]), f"{fn.__name__}({z!r})"
 
 
 class TestHalleyMessage:

@@ -72,6 +72,22 @@ class TestOracleLambertW:
         u = oracle_lambert_w(-1e-290, Branch.SECONDARY)
         assert abs(u * math.exp(u) - (-1e-290)) <= 1e-12 * 1e-290
 
+    def test_principal_branch_correctly_rounded_to_half_branch_point(self):
+        # on [-1/(2e), 0) the bisection's answer is rounded to the nearest
+        # double; the bisection alone left it up to 2.33 ulps off over
+        # 30 000 uniform z
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(23)
+        edge = -0.5 * INV_E
+        zs = [edge * (1.0 - rng.random()) for _ in range(500)]
+        zs += [-math.exp(rng.uniform(math.log(5e-324), math.log(-edge))) for _ in range(500)]
+        zs += [edge, math.nextafter(edge, 0.0), -5e-324, -2.2250738585072014e-308]
+        with mp.workdps(50):
+            for z in zs:
+                want = mp.lambertw(z, 0).real
+                ulps = abs(oracle_lambert_w(z, Branch.PRINCIPAL) - want) / math.ulp(float(want))
+                assert ulps <= 0.5, f"z={z!r}: {float(ulps):.2f} ulps"
+
 
 class TestOracleCrossings:
     def test_anchor_a3_b2(self):
