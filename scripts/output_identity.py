@@ -119,7 +119,18 @@ FIXED = [
         ("0.1", "3.0, 2.0", "0"), ("0.1", "1.0, 2.0", "Branch.PRINCIPAL"),
         ("0.0", "3.0, 2.0", "Branch.PRINCIPAL"), ("nan", "3.0, 2.0", "Branch.SECONDARY"),
         ("1.0", "3.0, 2.0", "Branch.SECONDARY"), ("1e-300", "1.0001, 5e-324", "Branch.PRINCIPAL"),
-        ("1e-30", "1e19, 0.7", "Branch.PRINCIPAL"), ("1e-300", "2.0, 1e300", "Branch.SECONDARY"),
+        ("1e-300", "2.0, 1e300", "Branch.SECONDARY"),
+        ("1e-10", "1e306, 1.0", "Branch.PRINCIPAL"), ("1.0", "3e20, 3.0", "Branch.SECONDARY"),
+    ]),
+    # huge shapes, whose ln p_max once came from terms near a*ln(a) that cancel
+    *_each("inverse_pdf({}, ShapeScale({}), Branch.{})", [
+        (p, params, branch)
+        for p, params in (
+            ("4.3562990121086776e-242", "2.635049670822412e+89, 1.389e-320"),
+            ("1e-30", "1e19, 0.7"), ("1e-30", "1e18, 3.0"), ("1e-30", "1e18, 0.7"),
+            ("1e-160", "1e306, 1.0"), ("1e-30", "3e20, 3.0"), ("1e-30", "1e50, 3.0"),
+        )
+        for branch in ("PRINCIPAL", "SECONDARY")
     ]),
     # the normal-curve comparison
     *_each("gaussian_fwhm_approx(ShapeScale({}))", ["1.0, 1.0", "1e300, 1e300"]),

@@ -53,10 +53,17 @@ _GAUSS_FWHM_UNIT_SIGMA = 2.0 * math.sqrt(2.0 * _LN2)
 # and its median from a = 9.5e3 (both about 1.5e-12 relative at 1e4).
 _ASYMPTOTIC_SHAPE = 1e4
 
-# How far a requested density level may exceed the computed maximum before
-# it is rejected; callers often pass y*p_max recomputed with rounding.
-_PMAX_SLACK = 1e-12
+# ln(1 + slack): a requested density level may exceed the computed maximum
+# by this slack, 1e-12 relative, before it is rejected; callers often pass
+# y*p_max recomputed with rounding.
+_LOG1P_PMAX_SLACK = math.log1p(1e-12)
 
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+
+# inverse_pdf tests its branch by identity with these: read through the
+# class, an Enum member costs about 0.1 us to read on CPython 3.11
+_SECONDARY = Branch.SECONDARY
+_PRINCIPAL = Branch.PRINCIPAL
 _setattr = object.__setattr__
 _new = object.__new__
 
@@ -313,45 +320,58 @@ def inverse_pdf(p: float, params: ShapeScale, branch: Branch) -> float:
     a > 1 (at a = 1 the density is one-to-one) and 0 < p <= p_max, where
     p_max is the density value at the mode; p may exceed p_max by at most
     1e-12 relative, which is clamped to the mode. Raises ValueError when
-    the abscissa or the mode overflows double precision, and where the
-    rounding of the terms of ln(p_max) at huge a overflows p_max.
+    the abscissa or the mode overflows double precision, and when the
+    mode underflows to 0.
 
-    Within about 1e-12 of p_max the offset of the result from the mode is
-    limited by the rounding of lgamma(a) + a*ln(b) in ln(p_max): an error
-    d there is about d/(2*(1 - p/p_max)) relative in the offset. fwym takes
-    the proportion p/p_max itself and is the accurate route there.
+    p is compared with p_max in log space, and the cut is at r =
+    ln(p/p_max)/n with n = a - 1. ln p_max is n*(ln n - 1) - lgamma(a) -
+    ln b below n = 15 and, from n = 15 on, Loader's saddle-point form
+    -ln b - ln(2*pi*n)/2 - stirlerr(n), whose terms do not cancel at any
+    a. An error d in ln p - ln p_max is about d/(2*(1 - p/p_max)) relative
+    in the offset of the result from the mode, so within about 1e-12 of
+    p_max the rounding of ln p itself limits that offset; fwym takes the
+    proportion p/p_max itself and is the accurate route there.
     """
-    if not isinstance(branch, Branch):
+    if branch is not _SECONDARY and branch is not _PRINCIPAL:
         raise TypeError(f"branch must be a Branch member, got {branch!r}")
     a, b = params.a, params.b
     if a <= 1.0:
         raise ValueError("inverse_pdf needs a > 1; the density is one-sided at a = 1")
     if not (math.isfinite(p) and p > 0.0):
         raise _range_error("density level", p, "be positive")
-    m = mode(params)
-    lgamma_a, a_log_b = _log_normaliser(params)
-    a1 = a - 1.0
-    # p_max is _density at the mode, written out to share ln(m) with r (0
-    # where (a-1)*b underflows)
-    log_m = math.log(m) if m else -math.inf
-    try:
-        p_max = math.exp(a1 * log_m - m / b - lgamma_a - a_log_b)
-    except OverflowError:
-        # p_max <= 1/b: it overflows, above every finite level, only where
-        # 1/b does, and elsewhere only through its terms' rounding at huge a
-        p_max = 1.0 / b
-        if p_max < math.inf:
-            raise _overflow_error(f"gamma density at x={m!r}") from None
-    if p > p_max * (1.0 + _PMAX_SLACK):
+    n = a - 1.0
+    m = n * b
+    if not 0.0 < m < math.inf:
+        if m:
+            mode(params)  # raises the mode's overflow error
+        raise ValueError(f"mode of {params!r} underflows double precision")
+    # ln p_max = n*(ln n - 1) - lgamma(a) - ln b, the density at the mode.
+    # From n = 15 on, lgamma(a) = n*(ln n - 1) + ln(2 pi n)/2 + stirlerr(n)
+    # leaves -ln b - ln(2 pi n)/2 - stirlerr(n), whose terms do not cancel;
+    # stirlerr's odd series, to 1/n**11, is within 3e-18 of it from n = 15.
+    if n < 15.0:
+        log_p_max = n * (math.log(n) - 1.0) - math.lgamma(a) - math.log(b)
+    else:
+        t = 1.0 / (n * n)
+        log_p_max = -math.log(b) - (0.5 * math.log(n) + _HALF_LN_2PI + (
+            1.0 / 12.0 - t * (
+            1.0 / 360.0 - t * (
+            1.0 / 1260.0 - t * (
+            1.0 / 1680.0 - t * (
+            1.0 / 1188.0 - t * (691.0 / 360360.0)))))) / n)
+    # The cut's r = ln(p/p_max)/(a-1); a level at the maximum, up to the
+    # slack, is the branch point r = 0
+    log_p = math.log(p)
+    if log_p < log_p_max:
+        r = (log_p - log_p_max) / n
+    elif log_p <= log_p_max + _LOG1P_PMAX_SLACK:
+        r = 0.0
+    else:
         raise ValueError(
-            f"density level {p!r} exceeds the maximum {p_max!r} of the density"
+            f"density level {p!r} exceeds the maximum {math.exp(log_p_max)!r} of the density"
         )
-    # The cut's r = ln(p/p_max)/(a-1), assembled in log space so that huge
-    # a and tiny p neither overflow nor lose the lead digits; r > 0 is a
-    # level at the maximum, up to rounding: the branch point.
-    r = min((math.log(p) + lgamma_a + a_log_b) / a1 - log_m + 1.0, 0.0)
     # _cut's crossing on that side, one branch solved
-    if branch is Branch.SECONDARY:
+    if branch is _SECONDARY:
         x = m - m * lambertw._secondary(r)
     else:
         x = lambertw._principal(r, m)[0]

@@ -1,7 +1,7 @@
 """Shared fixtures and helpers: call counters for machine-independent work
-counts, the relative error, the mpmath reference for a cut and the Lambert
-kernel's seams, which the test modules import from here. The golden-file
-manifest is in goldens.py."""
+counts, the relative error, the mpmath references for a cut and for the
+density inverse, and the Lambert kernel's seams, which the test modules
+import from here. The golden-file manifest is in goldens.py."""
 
 import math
 
@@ -54,6 +54,33 @@ def mp_cut(mp, a, b, y):
     working precision."""
     m, w_lo, w_hi = mp_branches(mp, a, b, y)
     return -m * w_lo, -m * w_hi, m * (w_lo - w_hi)
+
+
+def mp_log_p_max(mp, a, b):
+    """ln of the gamma density at its mode, n*(ln n - 1) - lgamma(a) - ln b
+    with n = a - 1, in mpmath at its working precision. Its terms, about
+    n*ln(n) in size, cancel to about -ln(2*pi*n)/2 - ln b."""
+    a, b = mp.mpf(a), mp.mpf(b)
+    n = a - 1
+    return n * (mp.log(n) - 1) - mp.loggamma(a) - mp.log(b)
+
+
+def mp_inverse_pdf(mp, p, params, branch):
+    """inverse_pdf in mpmath, to its working precision: the crossing
+    -(a-1)*b*W(z) at z = -exp(r - 1), r = ln(p/p_max)/(a-1), with digits
+    added for the cancellation in ln p_max and for the nearness of z to
+    the branch point -1/e, where r is small."""
+    a, b = params.a, params.b
+    extra = 10 + int(math.log10(a) + math.log10(1.0 + math.log(a)))
+    with mp.workdps(mp.mp.dps + extra):
+        r = (mp.log(mp.mpf(p)) - mp_log_p_max(mp, a, b)) / (mp.mpf(a) - 1)
+    if r < 0:
+        extra += max(0, int(-mp.log10(-r)))
+    with mp.workdps(mp.mp.dps + extra):
+        n = mp.mpf(a) - 1
+        r = min((mp.log(mp.mpf(p)) - mp_log_p_max(mp, a, b)) / n, 0)
+        k = 0 if branch is Branch.PRINCIPAL else -1
+        return -n * mp.mpf(b) * mp.lambertw(-mp.exp(r - 1), k).real
 
 
 @pytest.fixture

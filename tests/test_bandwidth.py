@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import Q_HALF, R_HALF, R_LOG_FORM, mp_cut, rel_err
+from conftest import Q_HALF, R_HALF, R_LOG_FORM, mp_cut, mp_inverse_pdf, rel_err
 
 from gammabw.bandwidth import (
     GammaShapeSpec,
@@ -107,15 +107,6 @@ OVERFLOW_RULE = {
 }
 
 
-def mp_inverse_pdf(mp, p, params, branch):
-    """inverse_pdf in mpmath at its working precision."""
-    a, b = mp.mpf(params.a), mp.mpf(params.b)
-    m = (a - 1) * b
-    p_max = m ** (a - 1) * mp.exp(-m / b) / (mp.gamma(a) * b**a)
-    z = -mp.exp(mp.log(mp.mpf(p) / p_max) / (a - 1) - 1)
-    return -m * mp.lambertw(z, 0 if branch is Branch.PRINCIPAL else -1).real
-
-
 class TestShapeScale:
     @pytest.mark.parametrize("a,b", [(0.5, 1.0), (0.999, 1.0), (2.0, 0.0), (2.0, -1.0), (math.nan, 1.0), (2.0, math.inf)])
     def test_rejects_bad_parameters(self, a, b):
@@ -206,8 +197,16 @@ class TestGammaPdf:
         assert gamma_pdf_values([0.0, -0.0], params) == [0.0, 0.0]
 
     def test_overflowing_normaliser_in_inverse_pdf(self):
-        with pytest.raises(ValueError, match="normaliser"):
-            inverse_pdf(1e-10, ShapeScale(1e306, 1.0), Branch.PRINCIPAL)
+        # inverse_pdf takes no normaliser: ln p_max = -ln(2*pi*n)/2 -
+        # stirlerr(n) - ln b, so p_max is about 3.99e-154 here
+        mp = pytest.importorskip("mpmath")
+        params = ShapeScale(1e306, 1.0)
+        with pytest.raises(ValueError, match=r"exceeds the maximum 3\.989422804014\d*e-154 "):
+            inverse_pdf(1e-10, params, Branch.PRINCIPAL)
+        for branch in Branch:
+            with mp.workdps(50):
+                want = mp_inverse_pdf(mp, 1e-160, params, branch)
+                assert float(abs(inverse_pdf(1e-160, params, branch) - want) / want) <= 2.5e-16
 
     def test_overflowing_density_raises(self):
         params = ShapeScale(1.0, 5e-324)
@@ -421,9 +420,11 @@ class TestInversePdf:
             inverse_pdf(0.1, ShapeScale(1.0, 1.0), Branch.PRINCIPAL)
 
     def test_level_above_a_mode_that_underflows(self):
-        # (a-1)*b is 0, so the maximum is the density at 0
-        with pytest.raises(ValueError, match="exceeds the maximum 0.0"):
-            inverse_pdf(1e-300, ShapeScale(1.0 + 2.0**-52, 5e-324), Branch.PRINCIPAL)
+        # (a-1)*b is 0, while the maximum is about 1/b: no crossing is
+        # representable on either side of a mode at 0
+        for branch in Branch:
+            with pytest.raises(ValueError, match=r"^mode of .* underflows double precision$"):
+                inverse_pdf(1e-300, ShapeScale(1.0 + 2.0**-52, 5e-324), branch)
 
     @pytest.mark.parametrize("p", [1e300, 1.0])
     def test_levels_below_a_maximum_that_overflows(self, p):
@@ -438,16 +439,49 @@ class TestInversePdf:
         assert rel_err(inverse_pdf(p, params, Branch.SECONDARY), hi) <= 1e-15
 
     @pytest.mark.parametrize("a", [3e20, 1e50])
-    def test_maximum_overflowed_by_rounding_answers_no_level(self, a):
-        # p_max is about 1/(3*sqrt(2*pi*a)), far below 1; the terms of its
-        # log cancel from about 1e22, and their rounding overflows it
+    def test_huge_shape_answers_only_levels_below_its_maximum(self, a):
+        # p_max is about 1/(3*sqrt(2*pi*a)), far below 1, from terms that
+        # do not cancel: 1 is above it and 1e-30 below
+        mp = pytest.importorskip("mpmath")
+        params = ShapeScale(a, 3.0)
         for branch in Branch:
-            with pytest.raises(ValueError):
-                inverse_pdf(1.0, ShapeScale(a, 3.0), branch)
+            with pytest.raises(ValueError, match="exceeds the maximum"):
+                inverse_pdf(1.0, params, branch)
+            with mp.workdps(50):
+                want = mp_inverse_pdf(mp, 1e-30, params, branch)
+                assert float(abs(inverse_pdf(1e-30, params, branch) - want) / want) <= 2.5e-16
+
+    @pytest.mark.parametrize(
+        "a,b,p",
+        [
+            (2.635049670822412e89, 1.389e-320, 4.3562990121086776e-242),
+            (1e19, 0.7, 1e-30),
+            (1e18, 3.0, 1e-30),
+            (1e18, 0.7, 1e-30),
+        ],
+    )
+    def test_huge_shapes_against_mpmath(self, a, b, p):
+        # ln p_max formed from terms near a*ln(a) lost the level to their
+        # rounding here: a wrong crossing, a rejected level, an overflow,
+        # or the mode itself where the crossings lie about 1e-8 relative off it
+        mp = pytest.importorskip("mpmath")
+        params = ShapeScale(a, b)
+        m = mode(params)
+        for branch in Branch:
+            x = inverse_pdf(p, params, branch)
+            with mp.workdps(50):
+                want = mp_inverse_pdf(mp, p, params, branch)
+                assert float(abs(x - want) / want) <= 2.5e-16, branch
+            if abs(float(want) - m) > math.ulp(m):
+                # the crossing lies off the mode, and so does the result
+                assert (x < m) if branch is Branch.PRINCIPAL else (x > m), branch
 
     def test_branch_must_be_enum_member(self):
         with pytest.raises(TypeError):
             inverse_pdf(0.1, ShapeScale(3.0, 2.0), "principal")
+        # checked before the shape and the level
+        with pytest.raises(TypeError):
+            inverse_pdf(math.nan, ShapeScale(1.0, 2.0), -1)
 
     def test_principal_branch_where_its_argument_underflows(self):
         # t = ln(p/p_max)/(a-1) - 1 is about -788: exp(t) underflows, and

@@ -6,17 +6,32 @@ W0 + 1; q = 1/2, below which both branches come from that polynomial and
 from which each takes a fitted start and one third-order step; the start
 of the secondary branch's de Bruijn tail; and the principal branch's log
 form. Also q near 1e-3, shapes a -> 1+ and up to 1e12, and proportions y
-down to 5e-324.
+down to 5e-324. The density inverse inverse_pdf is held on both branches
+per band of a from 1.01 to 1e15, at scales from 1e-100 to 1e100, to a
+bound set by the conditioning of its cut r = ln(p/p_max)/(a-1), and its
+ln p_max on both sides of the switch to Stirling's series at a - 1 = 15.
 """
 
 import math
 import random
 
 import pytest
-from conftest import Q_HALF, Q_TAIL, Q_V_FORM, R_HALF, R_LOG_FORM, R_TAIL, R_V_FORM, mp_cut
+from conftest import (
+    Q_HALF,
+    Q_TAIL,
+    Q_V_FORM,
+    R_HALF,
+    R_LOG_FORM,
+    R_TAIL,
+    R_V_FORM,
+    mp_cut,
+    mp_inverse_pdf,
+    mp_log_p_max,
+)
 
-from gammabw.bandwidth import ShapeScale, fwym
-from gammabw.lambertw import w0
+from gammabw import lambertw
+from gammabw.bandwidth import ShapeScale, fwym, inverse_pdf
+from gammabw.lambertw import Branch, w0
 
 mp = pytest.importorskip("mpmath")
 
@@ -138,3 +153,159 @@ def test_w0_positive_axis_within_2_ulps():
             got = w0(z)
             want = mp.lambertw(mp.mpf(z)).real
             assert float(abs(got - want)) <= W0_ULPS * math.ulp(got), f"z={z!r}"
+
+
+# inverse_pdf: bands of the shape a, seeded scales b from 1e-100 to 1e100,
+# and levels y*p_max away from the maximum and within 1e-6 to 1e-12 of it
+A_BANDS = ((1.01, 2.0), (2.0, 16.0), (16.0, 1e3), (1e3, 1e6), (1e6, 1e10), (1e10, 1e15))
+FAR_YS = (1e-3, 0.1, 0.5, 0.9)
+NEAR_YS = (1.0 - 1e-6, 1.0 - 1e-8, 1.0 - 1e-10, 1.0 - 1e-12)
+EPS = math.ulp(1.0)
+
+
+def log_p_max_terms(a, b, p):
+    """The size of the terms of ln p - ln p_max as inverse_pdf forms them,
+    n = a - 1: n*(ln n - 1) and lgamma(a) below n = 15, ln(2*pi*n)/2 from
+    it; an ulp of each moves r = ln(p/p_max)/n by up to EPS*terms/n."""
+    n = a - 1.0
+    if n < 15.0:
+        form = n * abs(math.log(n) - 1.0) + abs(math.lgamma(a))
+    else:
+        form = 0.5 * math.log(2.0 * math.pi * n)
+    return abs(math.log(p)) + abs(math.log(b)) + form
+
+
+def level_cases(band, ys, n=10, seed=13):
+    """(params, p, branch, x, x_ref, d) for seeded shapes in the band and
+    p = y*p_max rounded from mpmath: x is inverse_pdf's crossing, x_ref
+    mpmath's and d = |W + 1| = |x_ref/mode - 1| its relative offset from
+    the mode."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(n):
+        a = math.exp(rng.uniform(math.log(band[0]), math.log(band[1])))
+        b = math.exp(rng.uniform(-230.0, 230.0))
+        params = ShapeScale(a, b)
+        with mp.workdps(60 + int(math.log10(a))):
+            p_max = mp.exp(mp_log_p_max(mp, a, b))
+            mode = (mp.mpf(a) - 1) * b
+        for y in ys:
+            p = float(y * p_max)
+            for branch in Branch:
+                with mp.workdps(50):
+                    x_ref = mp_inverse_pdf(mp, p, params, branch)
+                    d = float(abs(x_ref / mode - 1))
+                cases.append((params, p, branch, inverse_pdf(p, params, branch), x_ref, d))
+    return cases
+
+
+@pytest.mark.parametrize("band", A_BANDS, ids=[f"a{lo:g}" for lo, _ in A_BANDS])
+def test_inverse_pdf_in_band(band):
+    # x = mode*(1 - d) moves by x*dr/d for an error dr in r: the rounding
+    # of ln p - ln p_max, plus the rounding of the mode and the kernel's
+    # ulps (worst seen 0.87 of the bound without its factor 2)
+    for params, p, branch, x, x_ref, d in level_cases(band, FAR_YS):
+        a, b = params.a, params.b
+        bound = 2.0 * EPS * (log_p_max_terms(a, b, p) / ((a - 1.0) * d) + 1.0)
+        assert float(abs(x - x_ref) / x_ref) <= bound, (params, p, branch)
+
+
+def cancelling_r(p, a, b):
+    """The cut's r from the density's log-normaliser, (ln p + lgamma(a) +
+    a*ln b)/(a - 1) - ln(mode) + 1, whose terms of size a*ln(a) and
+    a*|ln b| cancel: the form inverse_pdf used before its ln p_max took
+    Stirling's series, and the reference it must match or beat near the
+    maximum."""
+    m = (a - 1.0) * b
+    r = (math.log(p) + math.lgamma(a) + a * math.log(b)) / (a - 1.0) - math.log(m) + 1.0
+    return min(r, 0.0)
+
+
+@pytest.mark.parametrize("band", A_BANDS, ids=[f"a{lo:g}" for lo, _ in A_BANDS])
+def test_inverse_pdf_near_the_maximum(band):
+    # the offset from the mode, d = sqrt(-2r) or so, carries dr/d**2 of an
+    # error dr in r, and the rounding of the mode adds EPS/d; at 1e-12 of
+    # p_max the rounding of ln p alone is about 5e-5 of the offset (worst
+    # seen 0.49 of the bound without its factor 2). No band is worse than
+    # with the cancelling form of r, solved by the same kernel.
+    worst = worst_cancelling = 0.0
+    for params, p, branch, x, x_ref, d in level_cases(band, NEAR_YS):
+        a, b = params.a, params.b
+        err = float(abs(x - x_ref)) / (d * (a - 1.0) * b)
+        bound = 2.0 * EPS * (log_p_max_terms(a, b, p) / ((a - 1.0) * d * d) + 1.0 / d)
+        assert err <= bound, (params, p, branch)
+        r, m = cancelling_r(p, a, b), (a - 1.0) * b
+        if branch is Branch.PRINCIPAL:
+            x_cancelling = lambertw._principal(r, m)[0]
+        else:
+            x_cancelling = m - m * lambertw._secondary(r)
+        worst = max(worst, err)
+        worst_cancelling = max(worst_cancelling, float(abs(x_cancelling - x_ref)) / (d * m))
+    assert worst <= worst_cancelling, (worst, worst_cancelling)
+
+
+@pytest.fixture
+def cut_r(monkeypatch):
+    """cut_r(p, params) is the r that inverse_pdf hands the kernel's
+    secondary branch."""
+    seen = []
+    solve = lambertw._secondary
+
+    def recorded(r):
+        seen.append(r)
+        return solve(r)
+
+    monkeypatch.setattr(lambertw, "_secondary", recorded)
+
+    def cut(p, params):
+        inverse_pdf(p, params, Branch.SECONDARY)
+        return seen[-1]
+
+    return cut
+
+
+def test_log_p_max_across_the_series_switch(cut_r):
+    # at n = a - 1 from 15 on ln p_max is -ln b - ln(2*pi*n)/2 - stirlerr(n)
+    # by Stirling's series, below it n*(ln n - 1) - lgamma(a) - ln b. Read
+    # back from the cut at a level 1e-9 below p_max, where ln p - ln p_max
+    # and r = (ln p - ln p_max)/n are exact to about 1e-25. The series side
+    # is within 3 ulps of ln p_max (worst seen 1.8). The lgamma side is
+    # within EPS times the size of its terms, n*(ln n - 1) and lgamma(a)
+    # near 26 and 28 plus |ln b| (worst seen 0.37 of it, 19 ulps of
+    # ln p_max): they cancel to about -2.3 - ln b.
+    shapes = [16.0, 15.5, 16.5]
+    for toward in (0.0, math.inf):
+        a = 16.0
+        for _ in range(4):
+            a = math.nextafter(a, toward)
+            shapes.append(a)
+    for a in shapes:
+        n = a - 1.0
+        for b in (1.0, 0.3, 3.0, 1e-5, 1e5, 1e-300):
+            params = ShapeScale(a, b)
+            with mp.workdps(50):
+                want = mp_log_p_max(mp, a, b)
+                p = float(mp.exp(want) * (1 - mp.mpf(1e-9)))
+                got = mp.mpf(math.log(p)) - n * mp.mpf(cut_r(p, params))
+                err = float(abs(got - want))
+            if n < 15.0:
+                bound = EPS * log_p_max_terms(a, b, 1.0)
+            else:
+                bound = 3.0 * math.ulp(float(want))
+            assert err <= bound, (a, b, err)
+    # stirlerr's odd series, B(2k)/(2k*(2k - 1)*n**(2k - 1)), to k = 6:
+    # truncated within 1e-17 from n = 15 (five terms leave 2.2e-16 there)
+    with mp.workdps(50):
+        n = mp.mpf(15)
+        stirlerr = mp.loggamma(n + 1) - (n * (mp.log(n) - 1) + mp.log(2 * mp.pi * n) / 2)
+        series = sum(mp.bernoulli(2 * k) / (2 * k * (2 * k - 1) * n ** (2 * k - 1)) for k in range(1, 7))
+        assert abs(series - stirlerr) < 1e-17
+
+
+def test_unit_shape_excess_cut_is_ln_p_plus_one(cut_r):
+    # ShapeScale(2, 1): n = 1, mode 1, ln p_max = 1*(0 - 1) - lgamma(2) -
+    # ln 1 = -1 exactly, so r = ln p + 1 with one rounding
+    params = ShapeScale(2.0, 1.0)
+    rng = random.Random(17)
+    for p in [0.5 / math.e, 1e-300] + [rng.uniform(1e-6, 0.36) for _ in range(50)]:
+        assert cut_r(p, params) == math.log(p) + 1.0, p

@@ -498,21 +498,42 @@ class TestPieceMap:
 
     @pytest.mark.parametrize("seam", SEAMS)
     def test_inverse_pdf_takes_the_mapped_pieces(self, kernel_work, seam):
-        # ShapeScale(2, 1) has its mode at 1 and its maximum at 1/e, so
-        # inverse_pdf forms r = ln(p) + 1, a multiple of 2**-52 near ln 1/2:
-        # p steps an ulp at a time from the seam to the first r on each side
-        params = ShapeScale(2.0, 1.0)
-        walks = [(seam * (1.0 - 1e-12), None), (seam * (1.0 + 1e-12), None)]
-        walks += [(seam, math.inf), (seam, -math.inf)]
-        for target, toward in walks:
-            p = math.exp(target - 1.0)
-            while True:
-                for branch in Branch:
-                    r, entries, counts = kernel_work(lambda: inverse_pdf(p, params, branch))
-                    assert (entries, counts) == mapped_work(BRANCH_ENTRY[branch], r), f"{branch}, r={r!r}"
-                if toward is None or (r > seam if toward > 0.0 else r < seam):
-                    break
-                p = math.nextafter(p, toward)
+        # inverse_pdf cuts at r = ln(p/p_max)/n, n = a - 1. An ulp of p moves
+        # ln p by 1.1e-16 to 2.2e-16, coarser than an ulp of r at the two
+        # seams above r = -1 when n = 1; at n = 32 (b = 0.07 puts p_max
+        # near 1) every r there is some level's cut, so a walk of p across
+        # each seam lands on it. Below, ShapeScale(2, 1) keeps p = exp(r - 1)
+        # a normal double down to r = -689.
+        params = ShapeScale(33.0, 0.07) if seam > -1.0 else ShapeScale(2.0, 1.0)
+        n = params.a - 1.0
+
+        def work(p, branch):
+            r, entries, counts = kernel_work(lambda: inverse_pdf(p, params, branch))
+            assert (entries, counts) == mapped_work(BRANCH_ENTRY[branch], r), f"{branch}, r={r!r}"
+            return r
+
+        def level(target):
+            # the p whose cut is target, to within an ulp or so of r
+            p = math.exp(n * target)
+            for _ in range(3):
+                p *= math.exp(n * (target - work(p, Branch.SECONDARY)))
+            return p
+
+        for target in (seam * (1.0 - 1e-12), seam * (1.0 + 1e-12)):
+            work(level(target), Branch.PRINCIPAL)
+        # an ulp of p at a time, from below the seam to above it
+        p = level(seam)
+        while work(p, Branch.SECONDARY) >= seam:
+            p = math.nextafter(p, 0.0)
+        hits = 0
+        while True:
+            r = work(p, Branch.SECONDARY)
+            assert work(p, Branch.PRINCIPAL) == r
+            hits += r == seam
+            if r > seam:
+                break
+            p = math.nextafter(p, math.inf)
+        assert hits, f"no level of {params!r} cuts at the seam r = {seam!r}"
 
     @pytest.mark.parametrize("z", [-INV_E, -0.35, -0.3, -0.2])
     def test_public_entries_take_one_branch_near_branch_point(self, kernel_work, z):
