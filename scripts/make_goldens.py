@@ -1,9 +1,9 @@
 """Regenerate the CLI golden fixtures under tests/golden/.
 
-Every width that ends up in a fixture is first checked against the
-crossing oracle, the certified Newton solve of `oracle_offsets`, by
-`python -m gammabw fwhm --verify`; the script refuses to write anything if
-a check fails. Run from anywhere:
+Every width that ends up in a fixture, found from the manifest's argv, is
+first checked against the crossing oracle, the certified Newton solve of
+`oracle_offsets`, by `python -m gammabw fwhm --verify`; the script refuses
+to write anything if a check fails. Run from anywhere:
 python scripts/make_goldens.py
 """
 
@@ -18,25 +18,36 @@ GOLDEN_DIR = _ROOT / "tests" / "golden"
 sys.path.insert(0, str(_ROOT / "tests"))
 from goldens import GOLDEN_INVOCATIONS  # noqa: E402
 
-# (a, b, y) triples whose widths appear in the fixtures above.
-WIDTH_CASES = [
-    (1.0, 1.0, 0.5),
-    (2.0, 1.0, 0.5),
-    (3.0, 2.0, 0.25),
-    (3.0, 2.0, 0.5),
-    (5.3182958969449894, 1.0, 0.5),
-    (14.142135623730955, 1.0, 0.5),
-    (37.606030930863952, 1.0, 0.5),
-    (100.0, 1.0, 0.5),
-]
-
 
 def run_gammabw(argv: list[str]) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "gammabw", *argv], capture_output=True)
 
 
+def option(argv: list[str], flag: str, default: str | None = None) -> str | None:
+    """The value that argv gives flag, or default."""
+    return argv[argv.index(flag) + 1] if flag in argv else default
+
+
+def width_cases() -> list[tuple[float, float, float]]:
+    """The (a, b, y) of every width in the fixtures, read from the manifest:
+    each fwhm and octave argv's own cut, each curve argv's at y = 1/2 (its
+    fwhm fields), and (a, 1, 1/2) for each shape a compare argv writes in
+    json."""
+    cases = set()
+    for _, argv in GOLDEN_INVOCATIONS:
+        if argv[0] == "compare":
+            i = argv.index("--format") if "--format" in argv else len(argv)
+            proc = run_gammabw([*argv[:i], *argv[i + 2:], "--format", "json"])
+            proc.check_returncode()
+            cases |= {(a, 1.0, 0.5) for a in json.loads(proc.stdout)["a"]}
+        else:
+            y = 0.5 if argv[0] == "curve" else float(option(argv, "--y", "0.5"))
+            cases.add((float(option(argv, "--a")), float(option(argv, "--b")), y))
+    return sorted(cases)
+
+
 def verify_against_oracle() -> None:
-    for a, b, y in WIDTH_CASES:
+    for a, b, y in width_cases():
         argv = ["fwhm", "--a", repr(a), "--b", repr(b), "--y", repr(y), "--verify", "--format", "json"]
         # exit 3, a discrepancy above 1e-8, still writes the record
         proc = run_gammabw(argv)

@@ -64,6 +64,9 @@ FIXED = [
     *_each("fwym_shifted(GammaShapeSpec(ShapeScale({}, 2.0), 3.0, -1.5), {})", [
         (a, y) for a in ("1.0", "3.0") for y in ("0.25", "1.0", "0.0", "2.0")
     ]),
+    # y = 1 at the smallest a - 1, through the kernel's branch point
+    "fwym_shifted(GammaShapeSpec(ShapeScale(1.0000000000000002, 2.0), 3.0, -1.5), 1.0)",
+    "octave_bandwidth(ShapeScale(1.0000000000000002, 2.0), 1.0)",
     "fwhm(ShapeScale(1.0, 1.0))",
     "fwhm(ShapeScale(2.0, 1.0))",
     # overflow of the mode, of a crossing and of the width
@@ -142,7 +145,7 @@ FIXED = [
     ]),
     # Lambert W
     *_each("w0({})", [
-        "0.0", "-0.36787944117144233", "-0.3678794411714424", "-0.36787944117144245", "-0.368", "-0.1",
+        "0.0", "-0.0", "-0.36787944117144233", "-0.3678794411714424", "-0.36787944117144245", "-0.368", "-0.1",
         "-1e-300", "5e-324", "1.0", "2.718281828459045", "10.0", "1e300", "inf", "nan",
     ]),
     *_each("wm1({})", [

@@ -384,12 +384,12 @@ def _cut_result(params: ShapeScale, y: float, octave: bool) -> WidthResult | Oct
     """fwym's WidthResult of the density cut at proportion y of its
     maximum, or with octave octave_bandwidth's OctaveResult.
 
-    The cut is at z = -exp(ln(y)/(a-1) - 1); y = 1 is the branch point,
-    where both crossings sit at the mode, and at a = 1 (z = 0) the low
-    crossing is 0, the width the high crossing and the branch difference
-    infinite. Raises ValueError for y outside (0, 1] and where the mode
-    overflows. The result is the class's __init__ run on a bare instance:
-    its checks without the type call.
+    The cut is at z = -exp(ln(y)/(a-1) - 1); y = 1 is the kernel's branch
+    point r = +0, with both crossings at the mode and width +0, and at a = 1
+    (z = 0) the low crossing is 0, the width the high crossing (+0 at y = 1)
+    and the branch difference infinite. Raises ValueError for y outside
+    (0, 1] and where the mode overflows. The result is the class's __init__
+    run on a bare instance: its checks without the type call.
     """
     if not (0.0 < y <= 1.0):
         raise ValueError(f"proportion of maximum must lie in (0, 1], got {y!r}")
@@ -398,12 +398,9 @@ def _cut_result(params: ShapeScale, y: float, octave: bool) -> WidthResult | Oct
     peak = a1 * b  # the mode
     if not math.isfinite(peak):
         mode(params)  # raises the mode's overflow error
-    if y == 1.0:
-        x_low = x_high = peak
-        diff = width = 0.0
-    elif a1 == 0.0:
+    if a1 == 0.0:
         x_low, diff = 0.0, math.inf
-        x_high = width = -b * math.log(y)
+        x_high = width = 0.0 - b * math.log(y)  # +0, not -0, at y = 1
     else:
         x_low, x_high, diff = lambertw._cut(math.log(y) / a1, peak)
         width = (a1 * diff) * b

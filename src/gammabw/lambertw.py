@@ -17,8 +17,10 @@ whose error is below 0.42 times the cube of the start's: the fixed step
 count rests on that bound, not on a stop test (scripts/fit_offsets.py fits
 and checks every table); farthest out W0 = z. The offsets have opposite
 signs, so neither their difference nor the crossings built from them
-cancel. w0 and wm1 take _principal and _secondary below q = 1/2, and
-Halley's method in z beyond, except wm1 at subnormal z, solved in ln(-z).
+cancel; at r = +-0 they are the zeros of their sides, W0 + 1 = +0 and
+Wm1 + 1 = -0 (Kahan, 1987). w0 and wm1 take _principal and _secondary
+below q = 1/2, and Halley's method in z beyond, except wm1 at subnormal z,
+solved in ln(-z).
 """
 
 import math
@@ -99,11 +101,13 @@ def _offsets(r: float, scale: float) -> tuple[float, float, float]:
     low crossing is scale - scale*(W0 + 1). At W0 <= -1/2 the v form gives
     scale*v and 1 - v, v = -W0 = (1 - s) - ((c + even) - u/3), to keep a
     small v's digits; 1 - s is exact for s in [1/2, 2], and the rounding
-    error of u/3 is taken back exactly."""
+    error of u/3 is taken back exactly. r = +-0 gives W0 + 1 = +0 and
+    Wm1 + 1 = -0, the branch point's zeros with the signs of their sides."""
     u = -2.0 * r
     s = math.sqrt(u)
     if u < 1e-290:
         # Dekker's products would go subnormal; u/3 is far below an ulp of s
+        s += 0.0  # r = +0 gives s = sqrt(-0) = -0, r = -0 gives +0
         return scale - scale * s, s, -s
     # Dekker's exact square s*s = p + e from the 26-bit halves of s
     # (math.fma is 3.13+); the root's remainder is (u - s*s)/(2s)
@@ -204,13 +208,11 @@ def _halley(w: float, z: float) -> float:
 def w0(z: float) -> float:
     """Principal branch: the solution w >= -1 of w*exp(w) = z, for z >= -1/e.
 
-    w0(0) is exactly 0; w0 at the branch point -1/e (with a few ulp of
-    tolerance below it) is exactly -1. Raises ValueError outside the domain.
+    w0(+-0) is +-0, sign kept; w0 at the branch point -1/e (with a few ulp
+    of tolerance below it) is exactly -1. Raises ValueError outside the domain.
     """
     if not math.isfinite(z):
         raise ValueError(f"w0 needs a finite argument, got {z!r}")
-    if z == 0.0:
-        return 0.0
     q = 1.0 + _E * z
     if q <= 0.0:
         if z < _BRANCH_POINT_MIN:
@@ -317,7 +319,7 @@ def branch_difference_from_log_ratio(r: float) -> float:
 
     r is the log of the peak proportion divided by the shape excess
     (r = ln(y)/(a-1) for gamma-shaped peaks); r = 0 is the branch point,
-    where the difference is exactly 0; both branches are solved in r
+    where the difference is +0; both branches are solved in r
     itself, so no precision is lost when r is tiny."""
     if not math.isfinite(r) or r > 0.0:
         raise ValueError(f"log ratio must be finite and <= 0, got {r!r}")

@@ -1,7 +1,8 @@
 """Shared fixtures and helpers: call counters for machine-independent work
-counts, the relative error, the mpmath references for a cut and for the
-density inverse, and the Lambert kernel's seams, which the test modules
-import from here. The golden-file manifest is in goldens.py."""
+counts, the relative error, values with their signs, the mpmath references
+for a cut and for the density inverse, and the Lambert kernel's seams,
+which the test modules import from here. The golden-file manifest is in
+goldens.py."""
 
 import math
 
@@ -38,6 +39,12 @@ SEAMS = tuple(sorted(
 
 def rel_err(got, want):
     return abs(got - want) / abs(want)
+
+
+def signed(*xs):
+    """Each value with the sign of its sign bit, so that +0.0 and -0.0
+    compare unequal."""
+    return [(x, math.copysign(1.0, x)) for x in xs]
 
 
 def mp_branches(mp, a, b, y):

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import Q_HALF, R_HALF, R_LOG_FORM, mp_cut, mp_inverse_pdf, rel_err
+from conftest import Q_HALF, R_HALF, R_LOG_FORM, mp_cut, mp_inverse_pdf, rel_err, signed
 
 from gammabw.bandwidth import (
     GammaShapeSpec,
@@ -544,9 +544,15 @@ class TestFwym:
         assert res.mode == 4.0
 
     def test_degenerate_full_height(self):
+        # y = 1 is the kernel's branch point r = +0: a width of +0
         res = fwym(ShapeScale(5.0, 1.0), 1.0)
-        assert res.width == 0.0
+        assert signed(res.width) == signed(0.0)
         assert res.x_low == res.x_high == res.mode == 4.0
+
+    @pytest.mark.parametrize("b", [1.0, 3.0, 1e-300, 1e300])
+    def test_exponential_full_height(self, b):
+        res = fwym(ShapeScale(1.0, b), 1.0)
+        assert signed(res.x_low, res.x_high, res.width, res.mode) == signed(0.0, 0.0, 0.0, 0.0)
 
     def test_exponential_special_case(self):
         res = fwym(ShapeScale(1.0, 3.0), 0.5)
@@ -871,7 +877,7 @@ class TestOctaveBandwidth:
 
     def test_full_height_closure(self):
         res = octave_bandwidth(ShapeScale(2.0, 1.0), 1.0)
-        assert res.octaves == 0.0
+        assert signed(res.octaves) == signed(0.0)
         assert res.high == res.low == 1.0
 
     def test_tends_to_zero_as_y_tends_to_one(self):
@@ -931,6 +937,15 @@ class TestWorkCounts:
         # gives the secondary branch and v = -W0, with no step
         counts = count_calls(*POLYNOMIAL)
         fn(ShapeScale(3.0, 1.0), 0.5)
+        assert counts == {"_offsets": 1, "w0": 0, "wm1": 0}
+        assert math_calls == {"sqrt": 1}
+
+    @pytest.mark.parametrize("fn", [fwym, octave_bandwidth])
+    def test_full_height_cut(self, count_calls, math_calls, fn):
+        # y = 1 is the branch point r = +0, cut by one evaluation of the
+        # polynomial in s like any cut near it
+        counts = count_calls(*POLYNOMIAL)
+        fn(ShapeScale(3.0, 1.0), 1.0)
         assert counts == {"_offsets": 1, "w0": 0, "wm1": 0}
         assert math_calls == {"sqrt": 1}
 

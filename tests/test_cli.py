@@ -34,6 +34,12 @@ class TestGoldenFiles:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (GOLDEN_DIR / name).read_bytes()
 
+    def test_directory_holds_exactly_the_manifest(self):
+        # a fixture dropped from the manifest cannot stay behind unchecked
+        names = [name for name, _ in GOLDEN_INVOCATIONS]
+        assert len(set(names)) == len(names)
+        assert sorted(path.name for path in GOLDEN_DIR.iterdir()) == sorted(names)
+
     def test_deterministic_repeat(self):
         argv = ["curve", "--a", "3", "--b", "2", "--n", "64", "--format", "csv"]
         assert run_cli(argv).stdout == run_cli(argv).stdout

@@ -6,10 +6,12 @@ W0 + 1; q = 1/2, below which both branches come from that polynomial and
 from which each takes a fitted start and one third-order step; the start
 of the secondary branch's de Bruijn tail; and the principal branch's log
 form. Also q near 1e-3, shapes a -> 1+ and up to 1e12, and proportions y
-down to 5e-324. The density inverse inverse_pdf is held on both branches
-per band of a from 1.01 to 1e15, at scales from 1e-100 to 1e100, to a
-bound set by the conditioning of its cut r = ln(p/p_max)/(a-1), and its
-ln p_max on both sides of the switch to Stirling's series at a - 1 = 15.
+down to 5e-324. The octave count and the branch difference are held on
+the same cuts, to the (W0 - Wm1)/ln 2 and W0 - Wm1 of mpmath. The density
+inverse inverse_pdf is held on both branches per band of a from 1.01 to
+1e15, at scales from 1e-100 to 1e100, to a bound set by the conditioning
+of its cut r = ln(p/p_max)/(a-1), and its ln p_max on both sides of the
+switch to Stirling's series at a - 1 = 15.
 """
 
 import math
@@ -24,14 +26,15 @@ from conftest import (
     R_LOG_FORM,
     R_TAIL,
     R_V_FORM,
+    mp_branches,
     mp_cut,
     mp_inverse_pdf,
     mp_log_p_max,
 )
 
 from gammabw import lambertw
-from gammabw.bandwidth import ShapeScale, fwym, inverse_pdf
-from gammabw.lambertw import Branch, w0
+from gammabw.bandwidth import ShapeScale, fwym, inverse_pdf, octave_bandwidth
+from gammabw.lambertw import Branch, branch_difference_from_log_ratio, w0
 
 mp = pytest.importorskip("mpmath")
 
@@ -42,6 +45,12 @@ mp = pytest.importorskip("mpmath")
 WIDTH_REL = 4e-16
 CROSS_HW = 1e-14
 W0_ULPS = 2.0
+# Octave counts at the exact r = ln(y)/(a-1) are within 4e-16 relative
+# (worst seen 3.6e-16 over 27 300 cuts: the rounding of r, of the branch
+# difference and of the division by ln 2), and the branch difference at a
+# given r within 3e-16 (worst seen 2.5e-16)
+OCTAVE_REL = 4e-16
+DIFF_REL = 3e-16
 
 # Bands of q
 BANDS = (
@@ -93,6 +102,21 @@ def assert_cut(a, b, y):
     assert float(abs(res.x_high - x_high)) <= bound, where
 
 
+def assert_octaves(a, b, y):
+    """The octave count of the cut and the branch difference at its r."""
+    r = math.log(y) / (a - 1.0)
+    where = f"a={a!r}, b={b!r}, y={y!r}"
+    with mp.workdps(50):
+        _, w_lo, w_hi = mp_branches(mp, a, b, y)
+        want = (w_lo - w_hi) / mp.log(2)
+        got = octave_bandwidth(ShapeScale(a, b), y).octaves
+        assert float(abs(got - want) / want) <= OCTAVE_REL, where
+        z = -mp.exp(mp.mpf(r) - 1)
+        want = mp.lambertw(z, 0).real - mp.lambertw(z, -1).real
+        got = branch_difference_from_log_ratio(r)
+        assert float(abs(got - want) / want) <= DIFF_REL, f"r={r!r}"
+
+
 def band_cuts(lo, hi, n, seed):
     """n seeded (a, b, y) whose q lies in [lo, hi), a log-uniform in
     [1.001, 1e6] and b in [1e-5, 1e5]."""
@@ -107,42 +131,83 @@ def band_cuts(lo, hi, n, seed):
     return cuts
 
 
+def q_seam_cuts(a, q_seam):
+    """(a, b, y) at q_seam*(1 + step) for steps up to 1e-6 either side."""
+    return [
+        (a, 1.7, math.exp((a - 1.0) * math.log1p(-q_seam * (1.0 + step))))
+        for step in (-1e-6, -1e-12, 0.0, 1e-12, 1e-6)
+    ]
+
+
+def r_seam_cuts(shape, r_seam):
+    """(a, b, y) at r_seam*(1 + step) for steps up to 1e-6 either side:
+    built in r, so that no seam is out of reach of q*(1 + 1e-6) < 1; the
+    shape is capped so that y = exp((a-1)*r) stays a normal double."""
+    a = min(shape, 1.0 + 700.0 / abs(r_seam))
+    return [
+        (a, 1.7, math.exp((a - 1.0) * r_seam * (1.0 + step)))
+        for step in (-1e-6, -1e-12, 0.0, 1e-12, 1e-6)
+    ]
+
+
+def log_form_cuts(a):
+    """(a, b, y) with r - 1 = ln(y)/(a-1) - 1 on both sides of the log
+    form's seam, -690."""
+    cut = R_LOG_FORM - 1.0
+    return [
+        (a, 3.0, math.exp((r1 + 1.0) * (a - 1.0)))
+        for r1 in (cut + 1.0, cut + 1e-9, cut, cut - 1e-9, cut - 1.0, cut - 50.0)
+    ]
+
+
 @pytest.mark.parametrize("band", BANDS, ids=[f"q{lo:.3g}" for lo, _ in BANDS])
 def test_cuts_in_band(band):
-    for a, b, y in band_cuts(*band, n=60, seed=11):
-        assert_cut(a, b, y)
+    for cut in band_cuts(*band, n=60, seed=11):
+        assert_cut(*cut)
 
 
 @pytest.mark.parametrize("q_seam", SEAM_QS)
 @pytest.mark.parametrize("a", SEAM_SHAPES)
 def test_cuts_across_q_seam(a, q_seam):
-    for step in (-1e-6, -1e-12, 0.0, 1e-12, 1e-6):
-        y = math.exp((a - 1.0) * math.log1p(-q_seam * (1.0 + step)))
-        assert_cut(a, 1.7, y)
+    for cut in q_seam_cuts(a, q_seam):
+        assert_cut(*cut)
 
 
 @pytest.mark.parametrize("r_seam", SEAM_RS)
 @pytest.mark.parametrize("shape", SEAM_SHAPES)
 def test_cuts_across_r_seam(shape, r_seam):
-    # built in r, so that no seam is out of reach of q*(1 + 1e-6) < 1; the
-    # shape is capped so that y = exp((a-1)*r) stays a normal double
-    a = min(shape, 1.0 + 700.0 / abs(r_seam))
-    for step in (-1e-6, -1e-12, 0.0, 1e-12, 1e-6):
-        assert_cut(a, 1.7, math.exp((a - 1.0) * r_seam * (1.0 + step)))
+    for cut in r_seam_cuts(shape, r_seam):
+        assert_cut(*cut)
 
 
 @pytest.mark.parametrize("a", [1.01, 1.5, 2.0])
 def test_cuts_across_log_form(a):
-    # r - 1 = ln(y)/(a-1) - 1 on both sides of the log form's seam, -690
-    cut = R_LOG_FORM - 1.0
-    for r1 in (cut + 1.0, cut + 1e-9, cut, cut - 1e-9, cut - 1.0, cut - 50.0):
-        y = math.exp((r1 + 1.0) * (a - 1.0))
-        assert_cut(a, 3.0, y)
+    for cut in log_form_cuts(a):
+        assert_cut(*cut)
 
 
 @pytest.mark.parametrize("a,b,y", EXTREME_CUTS)
 def test_extreme_cuts(a, b, y):
     assert_cut(a, b, y)
+
+
+@pytest.mark.parametrize("band", BANDS, ids=[f"q{lo:.3g}" for lo, _ in BANDS])
+def test_octaves_in_band(band):
+    for cut in band_cuts(*band, n=60, seed=11):
+        assert_octaves(*cut)
+
+
+def test_octaves_across_seams():
+    cuts = [cut for a in SEAM_SHAPES for q_seam in SEAM_QS for cut in q_seam_cuts(a, q_seam)]
+    cuts += [cut for shape in SEAM_SHAPES for r_seam in SEAM_RS for cut in r_seam_cuts(shape, r_seam)]
+    cuts += [cut for a in (1.01, 1.5, 2.0) for cut in log_form_cuts(a)]
+    for cut in cuts:
+        assert_octaves(*cut)
+
+
+@pytest.mark.parametrize("a,b,y", EXTREME_CUTS)
+def test_octaves_extreme_cuts(a, b, y):
+    assert_octaves(a, b, y)
 
 
 def test_w0_positive_axis_within_2_ulps():

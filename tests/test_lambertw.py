@@ -5,10 +5,10 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import Q_HALF, Q_V_FORM, R_HALF, R_LOG_FORM, R_V_FORM, SEAMS, rel_err
+from conftest import Q_HALF, Q_V_FORM, R_HALF, R_LOG_FORM, R_V_FORM, SEAMS, rel_err, signed
 
 from gammabw import lambertw
-from gammabw.bandwidth import ShapeScale, inverse_pdf
+from gammabw.bandwidth import ShapeScale, gamma_pdf, inverse_pdf
 from gammabw.lambertw import (
     Branch,
     branch_difference_from_log_ratio,
@@ -30,7 +30,9 @@ DIFF_AT_LN2_99 = 0.23676038729121193  # same at r = -ln(2)/99
 
 class TestW0:
     def test_zero_is_exact(self):
-        assert w0(0.0) == 0.0
+        # a zero keeps its sign; -exp(-800) underflows to -0
+        got = signed(w0(0.0), w0(-0.0), w0(-math.exp(-800.0)))
+        assert got == signed(0.0, -0.0, -0.0)
 
     def test_w0_at_e(self):
         assert rel_err(w0(math.e), 1.0) < 1e-14
@@ -206,7 +208,9 @@ class TestOrderingAndMonotonicity:
 
 class TestBranchDifference:
     def test_zero_at_branch_point(self):
-        assert branch_difference_from_log_ratio(0.0) == 0.0
+        # W0 - Wm1 = +0 - -0 = +0 from either zero of r
+        got = signed(branch_difference_from_log_ratio(0.0), branch_difference_from_log_ratio(-0.0))
+        assert got == signed(0.0, 0.0)
 
     def test_value_at_ln2(self):
         assert rel_err(branch_difference_from_log_ratio(-math.log(2.0)), DIFF_AT_LN2) < 1e-13
@@ -293,7 +297,12 @@ class TestOffsets:
 
     @pytest.mark.parametrize("r", [-0.0, 0.0])
     def test_branch_point_is_exact(self, r):
-        assert lambertw._offsets(r, 1.0) == (1.0, 0.0, 0.0)
+        # either zero of r is the branch point, where each offset is the zero
+        # of its side, W0 + 1 = +0 and Wm1 + 1 = -0, and W0 - Wm1 = +0
+        assert signed(*lambertw._offsets(r, 1.0)) == signed(1.0, 0.0, -0.0)
+        assert signed(*lambertw._cut(r, 1.0)) == signed(1.0, 1.0, 0.0)
+        assert signed(*lambertw._principal(r, 1.0)) == signed(1.0, 0.0)
+        assert signed(lambertw._secondary(r)) == signed(-0.0)
 
 
 def step_rs():
@@ -455,10 +464,10 @@ def kernel_work(monkeypatch, math_calls):
 
 class TestPieceMap:
     """The kernel's map of the pieces of a cut, lambertw._PIECES, holds the
-    code: at every seam, and at r*(1 +- 1e-12) around it, each of _cut,
-    _secondary, _principal and inverse_pdf does the work of the pieces that
-    lambertw._piece names there, counted in kernel entries, the form that
-    _offsets takes and math calls."""
+    code: at every seam, at r*(1 +- 1e-12) around it and at the branch
+    point r = +-0, each of _cut, _secondary, _principal and inverse_pdf
+    does the work of the pieces that lambertw._piece names there, counted
+    in kernel entries, the form that _offsets takes and math calls."""
 
     def test_pieces_run_from_branch_point_down(self):
         ends = {lambertw._V_FORM_R, lambertw._LN_HALF, lambertw._TAIL_R, 1.0 + lambertw._LOG_FORM_CUT}
@@ -534,6 +543,37 @@ class TestPieceMap:
                 break
             p = math.nextafter(p, math.inf)
         assert hits, f"no level of {params!r} cuts at the seam r = {seam!r}"
+
+    @pytest.mark.parametrize("r", [0.0, -0.0])
+    def test_branch_point_takes_the_offsets_piece(self, kernel_work, r):
+        # either zero of r lies in each branch's offsets piece
+        assert [lambertw._piece(branch, r) for branch in Branch] == ["offsets", "offsets"]
+        calls = [
+            ("_cut", lambda: lambertw._cut(r, 1.0)),
+            ("_secondary", lambda: lambertw._secondary(r)),
+            ("_principal", lambda: lambertw._principal(r, 1.0)),
+        ]
+        for entry, call in calls:
+            _, entries, counts = kernel_work(call)
+            assert (entries, counts) == mapped_work(entry, r), f"{entry}({r!r})"
+
+    def test_public_entries_reach_the_branch_point_through_offsets(self, kernel_work):
+        # a level at the maximum (within inverse_pdf's slack), m = -1 and
+        # r = +-0 reach the kernel at r = +-0, each through one evaluation
+        # of _offsets (the entries' own domain checks aside)
+        params = ShapeScale(3.0, 1.0)
+        p_max = gamma_pdf(2.0, params) * (1.0 + 1e-13)
+        calls = [
+            ("_principal", 0.0, lambda: inverse_pdf(p_max, params, Branch.PRINCIPAL)),
+            ("_secondary", 0.0, lambda: inverse_pdf(p_max, params, Branch.SECONDARY)),
+            ("_secondary", 0.0, lambda: wm1_from_log(-1.0)),
+            ("_cut", 0.0, lambda: branch_difference_from_log_ratio(0.0)),
+            ("_cut", -0.0, lambda: branch_difference_from_log_ratio(-0.0)),
+        ]
+        for entry, zero, call in calls:
+            r, entries, _ = kernel_work(call)
+            assert signed(r) == signed(zero), entry
+            assert entries == mapped_work(entry, r)[0] == [entry, "_offsets"], entry
 
     @pytest.mark.parametrize("z", [-INV_E, -0.35, -0.3, -0.2])
     def test_public_entries_take_one_branch_near_branch_point(self, kernel_work, z):
