@@ -6,7 +6,9 @@
         in its own `python -S` child, and exit 1 naming the first call whose
         line differs; exit 0 when every line agrees.
     python3 -S scripts/output_identity.py --sweep SRC
-        print the sweep's lines for the package under the directory SRC.
+        print the sweep's lines for the package under the directory SRC;
+        `--sweep src > tests/sweep.txt` regenerates the committed sweep,
+        which tests/test_output_identity.py holds the working tree to.
 
 The sweep is one fixed, seeded list of calls over every public function of
 gammabw.bandwidth, gammabw.lambertw, gammabw.gamma2 and gammabw.oracle.
@@ -283,6 +285,17 @@ def run_sweep(src: Path) -> list[str]:
     return done.stdout.splitlines()
 
 
+def first_difference(theirs: list[str], ours: list[str], name: str) -> str:
+    """The first call whose line differs between the sweep of name (theirs)
+    and the working tree's, or a difference in their lengths; "" if none."""
+    for i, (old, new) in enumerate(zip(theirs, ours)):
+        if old != new:
+            return f"call {i + 1} differs:\n  {name}: {old}\n  working tree: {new}"
+    if len(theirs) != len(ours):
+        return f"{name} gave {len(theirs)} lines, the working tree {len(ours)}"
+    return ""
+
+
 def compare(rev: str) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(
@@ -295,12 +308,9 @@ def compare(rev: str) -> int:
                 tar.extractall(tmp)
         theirs = run_sweep(Path(tmp) / "src")
     ours = run_sweep(ROOT / "src")
-    for i, (old, new) in enumerate(zip(theirs, ours)):
-        if old != new:
-            print(f"call {i + 1} differs:\n  {rev}: {old}\n  working tree: {new}")
-            return 1
-    if len(theirs) != len(ours):
-        print(f"{rev} gave {len(theirs)} lines, the working tree {len(ours)}")
+    difference = first_difference(theirs, ours, rev)
+    if difference:
+        print(difference)
         return 1
     errors = sum(" ! " in line for line in ours)
     print(f"{len(ours)} calls ({errors} raising) identical to {rev}")
