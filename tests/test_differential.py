@@ -40,10 +40,14 @@ mp = pytest.importorskip("mpmath")
 
 # Unit-scale widths are within 4e-16 relative in every band (worst seen
 # 3.6e-16 over 8 400 cuts; a scale b != 1 adds the rounding of the product
-# with b). Crossings are within ulp(mode) plus 1e-14 half-widths at any
-# scale (worst seen 1.0e-15).
+# with b). Crossings are held to ulp(mode) plus 1e-15 half-widths at any
+# scale: worst seen 4.9e-16 on this module's 556 cuts. Each crossing is
+# within an ulp of its own, so where a high crossing lies in the binade
+# above the mode, with twice its ulp, the excess over ulp(mode) can be a
+# larger share of a narrow half-width: 2.4e-15 at worst over seeds 1 to 99
+# of band_cuts (41 716 cuts), 0.55 ulps of that crossing.
 WIDTH_REL = 4e-16
-CROSS_HW = 1e-14
+CROSS_HW = 1e-15
 W0_ULPS = 2.0
 # Octave counts at the exact r = ln(y)/(a-1) are within 4e-16 relative
 # (worst seen 3.6e-16 over 27 300 cuts: the rounding of r, of the branch

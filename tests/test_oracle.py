@@ -1,11 +1,12 @@
 import math
 import random
 import types
+from fractions import Fraction
 
 import pytest
 from conftest import R_LOG_FORM, mp_branches, rel_err
 
-from gammabw import oracle
+from gammabw import bandwidth, oracle
 from gammabw.bandwidth import GammaShapeSpec, ShapeScale, fwym, mode
 from gammabw.gamma2 import median_a2
 from gammabw.lambertw import Branch
@@ -26,6 +27,59 @@ XHIGH_A3_B2_HALF = 8.311841800401812
 XLOW_A2_B1_HALF = 0.23196095298653444
 XHIGH_A2_B1_HALF = 2.6783469900166605
 MEDIAN_B1 = 1.6783469900166605
+
+
+def series_terms(n):
+    """[c_0, ..., c_n], the exact coefficients of the root u = sum c_k p**k
+    of u - log1p(u) = p**2/2 with the sign of p, by reversion: the p**(k+1)
+    coefficient of u**2/2 - u**3/3 + ... - p**2/2 is c_k plus terms in
+    c_1 .. c_(k-1), so each c_k is minus the rest of it."""
+
+    def times(f, g):
+        h = [Fraction(0)] * (n + 2)
+        for i, fi in enumerate(f):
+            for j, gj in enumerate(g[: n + 2 - i]):
+                h[i + j] += fi * gj
+        return h
+
+    c = [Fraction(0), Fraction(1)]
+    for k in range(2, n + 1):
+        c.append(Fraction(0))
+        power, rest = c, Fraction(0)
+        for j in range(2, k + 2):
+            power = times(power, c)
+            rest += (-1) ** j * power[k + 1] / j
+        c[k] = -rest
+    return c
+
+
+class TestStartSeries:
+    """The oracle starts from the series of its own roots, derived here in
+    exact rationals, as is the odd part that _asymptotic_error takes; the
+    two modules keep separate copies, so validator and validated share no
+    code."""
+
+    def test_reversion_solves_the_level_equation(self):
+        terms = series_terms(12)
+        assert terms[:5] == [0, 1, Fraction(1, 3), Fraction(1, 36), Fraction(-1, 270)]
+        for p in (0.05, -0.05):
+            u = math.fsum(float(c) * p**k for k, c in enumerate(terms))
+            assert abs(-oracle._log1pmx(u) - p * p / 2.0) <= 1e-17
+
+    def test_start_constants_are_the_nearest_doubles(self):
+        # the coefficient of p is 1, and the start adds p itself
+        terms = series_terms(8)
+        assert terms[1] == 1
+        assert oracle._SERIES == tuple(float(c) for c in terms[2:])
+
+    def test_asymptotic_error_takes_the_odd_terms(self):
+        terms = series_terms(5)
+        assert (terms[3], terms[5]) == (Fraction(1, 36), Fraction(1, 4320))
+        c3, c5 = float(terms[3]), float(terms[5])
+        for a in (1.5, 10.0, 1e4, 1e8):
+            p2 = 2.0 * math.log(2.0) / (a - 1.0)
+            want = math.expm1(-0.5 * math.log1p(-1.0 / a) - math.log1p(p2 * (c3 + p2 * c5)))
+            assert rel_err(bandwidth._asymptotic_error(a), want) <= 1e-14, a
 
 
 class TestOracleLambertW:
@@ -168,6 +222,21 @@ def mode_shifted(a, b):
     return GammaShapeSpec(params, s=mode(params))
 
 
+def series_seam_cuts():
+    """(a, 1, y) with p at the oracle's series bound and at p*(1 +- 1e-12),
+    so that the cuts fall on both sides of it, over a spread of shapes; from
+    a = 1.001 on the rounding of y moves p by less than 1e-14 relative."""
+    cuts = []
+    for a in (1.001, 1.01, 1.5, 3.0, 11.0, 101.0, 350.0):
+        for k in (-1e-12, 0.0, 1e-12):
+            p = oracle._SERIES_P_MAX * (1.0 + k)
+            cuts.append((a, 1.0, math.exp(-0.5 * p * p * (a - 1.0))))
+    # p as oracle_offsets forms it
+    sides = [math.sqrt(-2.0 * math.log(y)) / math.sqrt(a - 1.0) < oracle._SERIES_P_MAX for a, _, y in cuts]
+    assert sides[0::3] == [True] * 7 and sides[2::3] == [False] * 7
+    return cuts
+
+
 class TestOffsetForm:
     """The crossings in the offset form, shifted by the mode, against mpmath."""
 
@@ -189,15 +258,18 @@ class TestOffsetForm:
         found = []
         solve = oracle._offset
 
-        def recording(a1, log_y, *args):
-            u = solve(a1, log_y, *args)
-            found.append((a1, log_y, u))
+        def recording(a1, log_y, start, *args):
+            u = solve(a1, log_y, start, *args)
+            found.append((a1, log_y, start, u))
             return u
 
         monkeypatch.setattr(oracle, "_offset", recording)
-        for a, b, y in offset_cuts(200, seed=3):
+        cuts = offset_cuts(200, seed=3) + series_seam_cuts()
+        for a, b, y in cuts:
             oracle_crossings(mode_shifted(a, b), y)
-        assert len(found) == 400
+        assert len(found) == 2 * len(cuts)
+        # each search starts inside its bracket, above -1 on the left
+        assert all(start > -1.0 for _, _, start, _ in found)
 
         def positive(a1, log_y, v):
             if v <= -1.0:
@@ -206,7 +278,7 @@ class TestOffsetForm:
                 v = mp.mpf(v)
                 return mp.mpf(a1) * (mp.log1p(v) - v) - mp.mpf(log_y) > 0
 
-        for a1, log_y, u in found:
+        for a1, log_y, _, u in found:
             e = oracle._CERT_ULPS * math.ulp(u)
             assert positive(a1, log_y, u - e) != positive(a1, log_y, u + e), (a1, log_y, u)
 
@@ -214,10 +286,27 @@ class TestOffsetForm:
         # each evaluation of the level takes one log1p(u) - u
         cuts = offset_cuts(500, seed=4)
         counts = count_calls([oracle], ["_log1pmx"])
-        for a, b, y in cuts:
-            oracle_crossings(mode_shifted(a, b), y)
-        # at least one Newton step and the certificate's two per offset
-        assert 6 * len(cuts) <= counts["_log1pmx"] <= 24 * len(cuts)
+        for a, _, y in cuts:
+            before = counts["_log1pmx"]
+            u_low, _ = oracle_offsets(a, y)
+            used = counts["_log1pmx"] - before
+            # at least one Newton step and the certificate's two per offset,
+            # but for a low offset of -1, whose bracket holds no double; at
+            # most 12, the worst seen here (13 from the quadratic starts)
+            assert 5 + (u_low > -1.0) <= used <= 12, (a, y, used)
+        assert counts["_log1pmx"] >= 6 * len(cuts)
+
+    def test_mean_evaluations_on_verify_cuts(self, count_calls):
+        # cuts drawn like `fwhm --verify`'s benchmark: a log-uniform in
+        # [1.01, 1e3], y one of its five levels; 6.62 evaluations per cut
+        # measured (12.05 from the quadratic starts), and 6 is the floor
+        rng = random.Random(1)
+        levels = (0.5, 1.0 / math.sqrt(2.0), 1.0 / math.e, 0.25, 0.1)
+        cuts = [(math.exp(rng.uniform(math.log(1.01), math.log(1e3))), rng.choice(levels)) for _ in range(4000)]
+        counts = count_calls([oracle], ["_log1pmx"])
+        for a, y in cuts:
+            oracle_offsets(a, y)
+        assert counts["_log1pmx"] <= 6.7 * len(cuts)
 
     @pytest.mark.parametrize("u", [-0.9, -0.25 - 2**-54, -0.25, -1e-3, 0.0, 1e-8, 0.25, 3.0])
     def test_log1pmx_against_mpmath(self, u):
