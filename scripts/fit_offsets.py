@@ -13,9 +13,10 @@ and its coefficients are rounded to doubles:
 - `_secondary`, for r in [_TAIL_R, ln 1/2] = [-7, ln 1/2] (s in [1.1774,
   3.7417]): Wm1 + 1 as a polynomial in h = s - 5/2. Start error 1.2e-6
   relative.
-- `_principal`, for x = exp(r - 1) in [0, 1/(2e)], that is q >= 1/2 down to
-  the log form: G = exp(-W0) - 1 = x*P(x), with W0 = -x*(1 + G). Start
-  error 1.2e-6 relative in 1 + G.
+- `_principal_v`, for x in [0, 1/(2e)], that is q >= 1/2: G = exp(-W0) - 1
+  = x*P(x), with W0 = W0(-x) = -x*(1 + G). `_principal` calls it at x =
+  exp(r - 1) down to the log form, and `w0` at x = -z. Start error 1.2e-6
+  relative in 1 + G.
 
 The secondary branch below r = _TAIL_R is not fitted. There w = -Wm1
 solves w - ln w = L = 1 - r, and de Bruijn's series in lam = ln L through
@@ -138,7 +139,7 @@ def secondary_step(d, r):
 
 
 def principal_step(g, x):
-    """_principal's step on log1p(G) = x*(1 + G) from G = g, as v = -W0."""
+    """_principal_v's step on log1p(G) = x*(1 + G) from G = g, as v = -W0."""
     v = x * (1 + g)
     c = 1 - v
     k = (log1p(g) - v) / c
@@ -226,7 +227,7 @@ LAYOUT = (
     ("_offsets", "odd", "s * u * ", "u"),
     ("_offsets", "even", "u * u * ", "u"),
     ("_secondary", "d", "", "h"),
-    ("_principal", "g", "x * ", "x"),
+    ("_principal_v", "g", "x * ", "x"),
 )
 
 

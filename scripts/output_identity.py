@@ -126,6 +126,7 @@ FIXED = [
         ("1.0", "3.0, 2.0", "Branch.SECONDARY"), ("1e-300", "1.0001, 5e-324", "Branch.PRINCIPAL"),
         ("1e-300", "2.0, 1e300", "Branch.SECONDARY"),
         ("1e-10", "1e306, 1.0", "Branch.PRINCIPAL"), ("1.0", "3e20, 3.0", "Branch.SECONDARY"),
+        ("1e-300", "1e300, 1e300", "Branch.PRINCIPAL"),
     ]),
     # huge shapes, whose ln p_max once came from terms near a*ln(a) that cancel
     *_each("inverse_pdf({}, ShapeScale({}), Branch.{})", [
@@ -149,6 +150,8 @@ FIXED = [
     *_each("w0({})", [
         "0.0", "-0.0", "-0.36787944117144233", "-0.3678794411714424", "-0.36787944117144245", "-0.368", "-0.1",
         "-1e-300", "5e-324", "1.0", "2.718281828459045", "10.0", "1e300", "inf", "nan",
+        # the seam q = 1/2 at -1/(2e) and its neighbours, and -DBL_MIN
+        "-0.1839397205857212", "-0.18393972058572117", "-0.18393972058572114", "-2.2250738585072014e-308",
     ]),
     *_each("wm1({})", [
         "-0.36787944117144233", "-0.36787944117144245", "-0.368", "-0.2", "-1e-300", "-5e-324", "-2e-310",

@@ -19,8 +19,9 @@ and checks every table); farthest out W0 = z. The offsets have opposite
 signs, so neither their difference nor the crossings built from them
 cancel; at r = +-0 they are the zeros of their sides, W0 + 1 = +0 and
 Wm1 + 1 = -0 (Kahan, 1987). w0 and wm1 take _principal and _secondary
-below q = 1/2, and Halley's method in z beyond, except wm1 at subnormal z,
-solved in ln(-z).
+below q = 1/2. Beyond, w0 on z < 0 takes the principal start and step at
+the exact x = -z (_principal_v), and Halley's method in z remains only for
+w0 on z >= 0 and for wm1, which solves subnormal z in ln(-z).
 """
 
 import math
@@ -209,7 +210,10 @@ def w0(z: float) -> float:
     """Principal branch: the solution w >= -1 of w*exp(w) = z, for z >= -1/e.
 
     w0(+-0) is +-0, sign kept; w0 at the branch point -1/e (with a few ulp
-    of tolerance below it) is exactly -1. Raises ValueError outside the domain.
+    of tolerance below it) is exactly -1. On z < 0 it takes the kernel, with
+    no loop: below q = 1 + e*z = 1/2 in r = ln(1 - q), from q = 1/2 on at
+    x = -z itself; on z > 0 Halley's method. Raises ValueError outside the
+    domain.
     """
     if not math.isfinite(z):
         raise ValueError(f"w0 needs a finite argument, got {z!r}")
@@ -220,6 +224,8 @@ def w0(z: float) -> float:
         q = 0.0
     if q < 0.5:
         return -_principal(math.log1p(-q), 1.0)[0]
+    if z < 0.0:
+        return -_principal_v(-z)
     return _halley(z / (1.0 + z) if z <= _E else math.log(z) - math.log(math.log(z)), z)
 
 
@@ -259,12 +265,10 @@ def _principal(r: float, scale: float) -> tuple[float, float]:
     """(-scale*W0, W0 + 1) at z = -exp(r - 1) for an unchecked r <= 0 and
     scale >= 0: the low crossing of a cut at a peak whose mode is scale, and
     the principal offset, from _offsets below q = 1/2. From q = 1/2 on,
-    v = -W0, whose digits 1 - d would lose, is x*(1 + G) with x = exp(r - 1)
-    and G = exp(v) - 1: G starts as x*P(x), within 1.2e-6 relative in
-    1 + G, and takes one third-order step on log1p(G) = x*(1 + G), whose
-    error is below 0.42*e**3 for a start within e (scripts/fit_offsets.py);
-    there is no loop, and the crossing is scale*v. Where r - 1 <= -690,
-    W0 = z, W0 + 1 rounds to 1 and the crossing is exp(r - 1 + ln scale)."""
+    v = -W0, whose digits 1 - d would lose, is _principal_v at x = exp(r - 1)
+    taken with the rounding error of r - 1, and the crossing is scale*v.
+    Where r - 1 <= -690, W0 = z, W0 + 1 rounds to 1 and the crossing is
+    exp(r - 1 + ln scale)."""
     if r > _LN_HALF:
         return _offsets(r, scale)[:2]
     t = r - 1.0
@@ -274,6 +278,16 @@ def _principal(r: float, scale: float) -> tuple[float, float]:
         return x_low, 1.0
     x = math.exp(t)
     x += x * (r - (t + 1.0))  # the rounding error of t, exactly
+    v = _principal_v(x)
+    return scale * v, 1.0 - v
+
+
+def _principal_v(x: float) -> float:
+    """v = -W0(-x) for an unchecked 0 <= x <= 1/(2e), that is q >= 1/2,
+    with no loop: v = x*(1 + G), G = exp(v) - 1, where G starts as x*P(x),
+    within 1.2e-6 relative in 1 + G, and takes one third-order step on
+    log1p(G) = x*(1 + G), whose error is below 0.42*e**3 for a start within
+    e (scripts/fit_offsets.py). A subnormal x gives v = x."""
     g = x * (
         0.9999953269232893 + x * (
         1.5018182155987543 + x * (
@@ -295,8 +309,7 @@ def _principal(r: float, scale: float) -> tuple[float, float]:
     # f'' = -1/E**2
     c = (1.0 - v) - e
     k = ((math.log1p(g) - v) - e) / c
-    v += e - x * k * (1.0 + g) * (1.0 - 0.5 * k / c)
-    return scale * v, 1.0 - v
+    return v + (e - x * k * (1.0 + g) * (1.0 - 0.5 * k / c))
 
 
 def _cut(r: float, scale: float) -> tuple[float, float, float]:

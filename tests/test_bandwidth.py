@@ -426,6 +426,12 @@ class TestInversePdf:
             with pytest.raises(ValueError, match=r"^mode of .* underflows double precision$"):
                 inverse_pdf(1e-300, ShapeScale(1.0 + 2.0**-52, 5e-324), branch)
 
+    def test_level_beside_a_mode_that_overflows(self):
+        # (a-1)*b is 1e600: mode() raises its own error, which names the mode
+        for branch in Branch:
+            with pytest.raises(ValueError, match=r"^mode of .* overflows double precision$"):
+                inverse_pdf(1e-300, ShapeScale(1e300, 1e300), branch)
+
     @pytest.mark.parametrize("p", [1e300, 1.0])
     def test_levels_below_a_maximum_that_overflows(self, p):
         # p_max is about 3.7e309, above every finite level, and both

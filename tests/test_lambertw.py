@@ -1,6 +1,8 @@
 import math
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -167,11 +169,11 @@ class TestAgainstOracle:
 
 
 class TestFromHalfAgainstMpmath:
-    """w0 and wm1 from q = 1 + e*z = 1/2 on, where both still take Halley's
-    method in z, against 40-digit mpmath in ulps: 3 000 seeded z with -z
-    log-uniform in [1e-300, 1/(2e)] and 1 500 uniform in q in [1/2, 1).
-    Each bound is the worst seen on these z (1.77 ulps for w0, 1.02 for
-    wm1) rounded up to a quarter ulp."""
+    """w0 and wm1 from q = 1 + e*z = 1/2 on, where w0 takes the kernel's
+    step at x = -z and wm1 Halley's method in z, against 40-digit mpmath in
+    ulps: 3 000 seeded z with -z log-uniform in [1e-300, 1/(2e)] and 1 500
+    uniform in q in [1/2, 1). Each bound is the worst seen on these z (0.61
+    ulps for w0, 1.02 for wm1) rounded up to a quarter ulp."""
 
     def test_within_ulps_of_mpmath(self):
         mp = pytest.importorskip("mpmath")
@@ -180,10 +182,80 @@ class TestFromHalfAgainstMpmath:
         zs += [(rng.uniform(0.5, 1.0) - 1.0) / math.e for _ in range(1500)]
         with mp.workdps(40):
             for z in zs:
-                for fn, k, bound in ((w0, 0, 2.0), (wm1, -1, 1.25)):
+                for fn, k, bound in ((w0, 0, 0.75), (wm1, -1, 1.25)):
                     want = mp.lambertw(mp.mpf(z), k).real
                     ulps = abs(fn(z) - want) / math.ulp(float(want))
                     assert ulps <= bound, f"{fn.__name__}({z!r}): {float(ulps):.2f} ulps"
+
+
+def around(z, n=8):
+    """z and the n doubles on each side of it."""
+    out, lo, hi = [z], z, z
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+class TestW0AgainstMpmath:
+    """w0 against 50-digit mpmath over its whole domain, seeded."""
+
+    def test_negative_axis_every_seam(self):
+        # From q = 1 + e*z = 1/2 on, w0 is the kernel's step at the exact
+        # x = -z: within 0.75 ulps (0.65 worst seen; Halley's method in z
+        # read 1.92 on these z). Below, it cuts at r = ln(1 - q) from a
+        # rounded q, whose error, from the roundings of e, of e*z and of
+        # 1 + e*z, is below eps; W0 + 1 is about sqrt(2q) there, so the
+        # error grows as 1/sqrt(q) toward -1/e, and w0 is held to
+        # 0.75*eps*|dW0/dq| (0.58 worst seen). The seams: q = 1/2 and
+        # W0 = -1/2 with 8 doubles on each side, the 8 doubles above -1/e,
+        # -DBL_MIN and the largest subnormal, and subnormal z.
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(27)
+        zs = [-math.exp(rng.uniform(math.log(5e-324), math.log(0.5 * INV_E))) for _ in range(2000)]
+        zs += [(rng.uniform(0.5, 1.0) - 1.0) / math.e for _ in range(1000)]
+        zs += [(rng.uniform(0.5, 0.501) - 1.0) / math.e for _ in range(1000)]
+        zs += [(math.exp(rng.uniform(math.log(1e-14), math.log(0.5))) - 1.0) / math.e for _ in range(1500)]
+        zs += around(-0.5 * INV_E) + around(-0.5 * math.exp(-0.5)) + around(-INV_E)[2::2]
+        zs += [-sys.float_info.min, math.nextafter(-sys.float_info.min, 0.0), -1e-310, -5e-324]
+        eps = math.ulp(1.0)
+        with mp.workdps(50):
+            for z in zs:
+                want = mp.lambertw(mp.mpf(z), 0).real
+                err = abs(w0(z) - want)
+                if 1.0 + math.e * z >= 0.5:
+                    ulps = err / math.ulp(float(want))
+                    assert ulps <= 0.75, f"w0({z!r}): {float(ulps):.2f} ulps"
+                else:
+                    q = 1 + mp.e * mp.mpf(z)
+                    share = err / (eps * abs(want / ((1 - q) * (1 + want))))
+                    assert share <= 0.75, f"w0({z!r}): {float(share):.2f} of eps*|dW0/dq|"
+
+    def test_positive_axis(self):
+        # Halley's method in z: within 2.25 ulps. Its last residual rounds
+        # at an ulp of z, two ulps of w0 where w0 lies in the binade below
+        # z's: the worst seen, 2.20 ulps near z = 0.066, was over 1.2 million
+        # z in [0, 3], most of them within 10% above 1, 1/2, ..., 1/512.
+        # Here 1.93 is the worst: 3 000 z log-uniform in [e**-700, e**700],
+        # 3 000 uniform in [0, 3] and 1 000 in [1/16, 1.1/16].
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(1)
+        zs = [math.exp(rng.uniform(-700.0, 700.0)) if k % 2 else rng.uniform(0.0, 3.0) for k in range(6000)]
+        zs += [rng.uniform(0.0625, 0.06875) for _ in range(1000)]
+        with mp.workdps(50):
+            for z in zs:
+                want = mp.lambertw(mp.mpf(z), 0).real
+                ulps = abs(w0(z) - want) / math.ulp(float(want))
+                assert ulps <= 2.25, f"w0({z!r}): {float(ulps):.2f} ulps"
+
+
+def test_tables_match_their_fit():
+    # scripts/fit_offsets.py --check refits every Lambert table at 60 digits
+    # and measures each start's error and each step's
+    pytest.importorskip("mpmath")
+    script = Path(__file__).resolve().parents[1] / "scripts" / "fit_offsets.py"
+    done = subprocess.run([sys.executable, str(script), "--check"], capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 class TestResidualContract:
