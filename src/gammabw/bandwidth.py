@@ -228,29 +228,6 @@ def mode(params: ShapeScale) -> float:
     return m
 
 
-def _log_normaliser(params: ShapeScale) -> tuple[float, float]:
-    """lgamma(a) and a*ln(b), the two terms of the log of the gamma
-    density's normaliser. Raises ValueError when either overflows double
-    precision (lgamma does from a ~ 2.6e305)."""
-    a = params.a
-    try:
-        lgamma_a = math.lgamma(a)
-    except OverflowError:
-        lgamma_a = math.inf
-    a_log_b = a * math.log(params.b)
-    if not (math.isfinite(lgamma_a) and math.isfinite(a_log_b)):
-        raise _overflow_error(f"normaliser of the gamma density of {params!r}")
-    return lgamma_a, a_log_b
-
-
-def _density(x: float, a1: float, b: float, lgamma_a: float, a_log_b: float) -> float:
-    """Gamma density at x > 0 from its hoisted constants, a1 = a - 1."""
-    try:
-        return math.exp(a1 * math.log(x) - x / b - lgamma_a - a_log_b)
-    except OverflowError:
-        raise _overflow_error(f"gamma density at x={x!r}") from None
-
-
 def gamma_pdf(x: float, params: ShapeScale) -> float:
     """Gamma probability density at x >= 0, evaluated in log space.
 
@@ -258,32 +235,47 @@ def gamma_pdf(x: float, params: ShapeScale) -> float:
     the normaliser Gamma(a) * b**a or the density itself overflows double
     precision, and at x = 0 when 1/b does (a = 1, b below 1/DBL_MAX).
     """
-    if not (math.isfinite(x) and x >= 0.0):
-        raise ValueError(f"gamma_pdf needs finite x >= 0, got {x!r}")
-    a, b = params.a, params.b
-    if x == 0.0:
-        origin = 1.0 / b if a == 1.0 else 0.0
-        if not math.isfinite(origin):
-            raise _overflow_error(f"gamma density at x={x!r}")
-        return origin
-    lgamma_a, a_log_b = _log_normaliser(params)
-    return _density(x, a - 1.0, b, lgamma_a, a_log_b)
+    return gamma_pdf_values((x,), params)[0]
 
 
 def gamma_pdf_values(xs: Iterable[float], params: ShapeScale) -> list[float]:
-    """[gamma_pdf(x, params) for x in xs], bit for bit and with the same
-    ValueError, but with lgamma(a) and a*ln(b) computed once for the grid.
-    xs is read once, so it may be an iterator."""
+    """Gamma density at each x of xs, as gamma_pdf gives it, with lgamma(a)
+    and a*ln(b), the two terms of the log of the normaliser, formed once
+    for the grid; the first x whose density raises stops the grid. xs is
+    read once, so it may be an iterator."""
+    a, b = params.a, params.b
     try:
-        lgamma_a, a_log_b = _log_normaliser(params)
-    except ValueError:
-        return [gamma_pdf(x, params) for x in xs]
-    a1, b = params.a - 1.0, params.b
-    # gamma_pdf gives the value at the origin and the error of a bad x
-    return [
-        _density(x, a1, b, lgamma_a, a_log_b) if 0.0 < x < math.inf else gamma_pdf(x, params)
-        for x in xs
-    ]
+        lgamma_a = math.lgamma(a)  # overflows from a ~ 2.6e305
+    except OverflowError:
+        lgamma_a = math.inf
+    a_log_b = a * math.log(b)
+    overflow = None
+    if not (math.isfinite(lgamma_a) and math.isfinite(a_log_b)):
+        overflow = _overflow_error(f"normaliser of the gamma density of {params!r}")
+    a1 = a - 1.0
+    return [_density(x, a1, b, lgamma_a, a_log_b, overflow) for x in xs]
+
+
+def _density(
+    x: float, a1: float, b: float, lgamma_a: float, a_log_b: float, overflow: ValueError | None
+) -> float:
+    """gamma_pdf at x from a1 = a - 1, b and the normaliser's two terms;
+    overflow is the error of a normaliser that overflows, else None. The
+    density's rules, in order: a bad x, the value at the origin, the
+    normaliser's overflow, the density's overflow."""
+    if not 0.0 < x < math.inf:
+        if x != 0.0:  # negative, infinite or NaN
+            raise ValueError(f"gamma_pdf needs finite x >= 0, got {x!r}")
+        origin = 1.0 / b if a1 == 0.0 else 0.0
+        if not math.isfinite(origin):
+            raise _overflow_error(f"gamma density at x={x!r}")
+        return origin
+    if overflow is not None:
+        raise overflow
+    try:
+        return math.exp(a1 * math.log(x) - x / b - lgamma_a - a_log_b)
+    except OverflowError:
+        raise _overflow_error(f"gamma density at x={x!r}") from None
 
 
 def gamma_shaped(x: float, spec: GammaShapeSpec) -> float:

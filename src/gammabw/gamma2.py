@@ -71,9 +71,14 @@ def check_transform_identity(p: float, b: float) -> float:
 
     At shape 2, the larger of the two density-inverse values at level
     p/(e*b), divided by b, equals the quantile at 1 - p divided by b plus
-    one (both reduce to -Wm1(-p/e)). Returns the absolute difference of
-    the two sides; below 1e-12 for p in [0.001, 0.999] at any scale (for
-    smaller p the rounding of the complementary level 1 - p dominates).
+    one (both reduce to -Wm1(-p/e)). The right side is taken at r = ln p,
+    the quantile's r = log1p(-(1 - p)) without the rounding of 1 - p.
+    Returns the absolute difference of the two sides: below 1e-12 for p
+    in (0, 0.999] at scales from 1e-100 to 1e100, wherever the level
+    p/(e*b) is a normal double. A subnormal level keeps fewer digits of
+    p, and toward p = 1, or at more extreme scales, the rounding of the
+    level's logarithm in inverse_pdf's cut is amplified near the maximum.
+    Raises ValueError where the level underflows to 0.
     """
     _check_level(p)
     params = ShapeScale(2.0, b)
@@ -85,5 +90,5 @@ def check_transform_identity(p: float, b: float) -> float:
     if upper < lower:
         raise ArithmeticError(f"inverse_pdf branches out of order at p={p!r}, b={b!r}")
     lhs = upper / b
-    rhs = quantile_a2(1.0 - p, b) / b + 1.0
+    rhs = 1.0 - lambertw._secondary(math.log(p))
     return abs(lhs - rhs)

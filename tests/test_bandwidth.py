@@ -195,6 +195,12 @@ class TestGammaPdf:
             gamma_pdf_values([0.0, 1.0], params)
         assert gamma_pdf(0.0, params) == 0.0
         assert gamma_pdf_values([0.0, -0.0], params) == [0.0, 0.0]
+        # per x, in order: a bad x, the value at the origin, then the
+        # normaliser's overflow at the first x > 0
+        with pytest.raises(ValueError, match=r"^gamma_pdf needs finite x >= 0, got -1\.0$"):
+            gamma_pdf_values([0.0, -1.0, 1.0], params)
+        with pytest.raises(ValueError, match=r"^normaliser of the gamma density of "):
+            gamma_pdf_values([1.0, -1.0], params)
 
     def test_overflowing_normaliser_in_inverse_pdf(self):
         # inverse_pdf takes no normaliser: ln p_max = -ln(2*pi*n)/2 -
@@ -251,6 +257,23 @@ class TestGammaPdfValues:
             got = [v.hex() for v in gamma_pdf_values(xs, params)]
             assert got == [gamma_pdf(x, params).hex() for x in xs]
             assert got == [reference_pdf(x, params).hex() for x in xs]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_one_point_grid_is_gamma_pdf(self, seed):
+        # gamma_pdf(x) is the one-point grid, value by value and error by
+        # error; ShapeScale(1e306, 1) overflows the normaliser
+        def outcome(call):
+            try:
+                return call().hex()
+            except ValueError as exc:
+                return str(exc)
+
+        edges = [-0.0, -1.0, -5e-324, math.inf, -math.inf, math.nan]
+        for params, xs in seeded_density_grids(seed):
+            for p in (params, ShapeScale(1e306, 1.0)):
+                for x in xs + edges:
+                    want = outcome(lambda: gamma_pdf(x, p))
+                    assert outcome(lambda: gamma_pdf_values([x], p)[0]) == want
 
     def test_origin_and_short_grids(self):
         assert gamma_pdf_values([], ShapeScale(2.0, 1.0)) == []

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -181,13 +182,25 @@ class TestTransformIdentity:
         with pytest.raises(ArithmeticError, match="out of order"):
             check_transform_identity(0.5, 1.0)
 
+    @pytest.mark.parametrize("p", [5e-324, 1e-300, 2.0**-54, 1e-16, 1e-12])
+    def test_residual_at_tiny_levels(self, p):
+        # the right side is taken at r = ln p: forming 1 - p rounded it
+        # to 1.0 for p <= 2**-54, a level that was never passed, and lost
+        # p's digits above that (a residual of 0.11 at p = 1e-16, b = 1).
+        # The scales keep the density level p/(e*b) a normal double.
+        scales = (1e-300, 1e-100, 1e-20) + B_GRID
+        scales = [b for b in scales if p / (math.e * b) >= sys.float_info.min]
+        assert len(scales) >= 3
+        for b in scales:
+            assert check_transform_identity(p, b) <= 1e-12, f"b={b!r}"
+
     @settings(max_examples=200, deadline=None)
     @given(
-        st.floats(min_value=1e-3, max_value=1.0 - 1e-3),
+        st.floats(min_value=1e-300, max_value=1.0 - 1e-3),
         st.floats(min_value=0.01, max_value=100.0),
     )
     def test_residual_random(self, p, b):
-        # below p ~ 1e-4 the rounding of the complementary level 1 - p,
-        # amplified by the quantile slope, pushes the residual past the
-        # contract; the contract grid starts at p = 1e-3
+        # the right side comes from r = ln p, with no complementary level
+        # 1 - p to round, so the contract holds down to the smallest p
+        # whose density level p/(e*b) is a normal double
         assert check_transform_identity(p, b) <= 1e-12
