@@ -107,6 +107,8 @@ FIXED = [
         ("0.0", "1.0", "2.0"), ("0.0", "3.0", "2.0"), ("0.0", "1.0", "1e-309"), ("-1.0", "3.0", "2.0"),
         ("inf", "3.0", "2.0"), ("nan", "3.0", "2.0"), ("1.0", "3e305", "1.0"), ("1e-300", "1.0", "1e-300"),
         ("1e300", "1e10", "1e300"),
+        # (a - 1)*ln(x) overflows where the density underflows
+        ("1.7e308", "2.55e305", "0.5"), ("1.7e308", "2.55e305", "1.0"),
     ]),
     *_each("gamma_pdf_values({}, ShapeScale({}))", [
         ("[0.0, 1.0, 4.0, 1e300]", "3.0, 2.0"), ("iter([0.5, 2.0])", "1.0, 0.5"),
@@ -156,6 +158,10 @@ FIXED = [
     *_each("wm1({})", [
         "-0.36787944117144233", "-0.36787944117144245", "-0.368", "-0.2", "-1e-300", "-5e-324", "-2e-310",
         "0.0", "1.0", "-inf", "nan",
+        # the seam q = 1/2 and its neighbours, -DBL_MIN, and each side of
+        # z ~ -1.6e-305, where exp(w) turns subnormal and the Newton step stops
+        "-0.1839397205857212", "-0.18393972058572117", "-0.18393972058572114", "-2.2250738585072014e-308",
+        "-1e-305", "-2e-305",
     ]),
     *_each("wm1_from_log({})", [
         "-1.0", "-0.9999999999999996", "-0.999", "-1e-300", "-2.5", "-1e6", "-1e300", "-inf", "nan",

@@ -273,7 +273,13 @@ def _density(
     if overflow is not None:
         raise overflow
     try:
-        return math.exp(a1 * math.log(x) - x / b - lgamma_a - a_log_b)
+        e = a1 * math.log(x) - x / b - lgamma_a - a_log_b
+        if not e < math.inf:
+            # a1*ln(x) alone overflows (a near 2.55e305, x near DBL_MAX),
+            # where the density does not: the exponent again, in halves
+            h = 0.5 * a1 * math.log(x)
+            e = (h - lgamma_a) + (h - x / b - a_log_b)
+        return math.exp(e)
     except OverflowError:
         raise _overflow_error(f"gamma density at x={x!r}") from None
 

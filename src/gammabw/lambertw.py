@@ -20,8 +20,8 @@ signs, so neither their difference nor the crossings built from them
 cancel; at r = +-0 they are the zeros of their sides, W0 + 1 = +0 and
 Wm1 + 1 = -0 (Kahan, 1987). w0 and wm1 take _principal and _secondary
 below q = 1/2. Beyond, w0 on z < 0 takes the principal start and step at
-the exact x = -z (_principal_v), and Halley's method in z remains only for
-w0 on z >= 0 and for wm1, which solves subnormal z in ln(-z).
+the exact x = -z (_principal_v), wm1 _secondary at r = 1 + ln(-z) and one
+Newton step in z, and Halley's method is left for w0 on z >= 0 alone.
 """
 
 import math
@@ -188,12 +188,11 @@ def _secondary(r: float) -> float:
 
 
 def _halley(w: float, z: float) -> float:
-    """Halley's method on w*exp(w) = z from a guess w on the wanted branch,
-    away from the branch point, until a step is below 4 ulps of w. Above
-    z = 1e300, exp(w) and z are taken at 2**-64 of their size: unscaled,
-    the step's terms overflow from about z = 2.76e307, and scaled by a power
-    of two every operation rounds alike, so each step is the same where
-    they do not."""
+    """Halley's method on w*exp(w) = z from a guess w > -1, for w0 on
+    z >= 0, until a step is below 4 ulps of w. Above z = 1e300, exp(w) and
+    z are taken at 2**-64 of their size: unscaled, the step's terms
+    overflow from about z = 2.76e307, and scaled by a power of two every
+    operation rounds alike, so each step is the same where they do not."""
     scale = 2.0**-64 if z > 1e300 else 1.0
     z_scaled = z * scale
     for _ in range(_MAX_ITER):
@@ -232,15 +231,14 @@ def w0(z: float) -> float:
 def wm1(z: float) -> float:
     """Secondary branch: the solution w <= -1 of w*exp(w) = z, for -1/e <= z < 0.
 
-    wm1 at the branch point (same tolerance as w0) is exactly -1; subnormal
-    z is solved in ln(-z), as wm1_from_log does. Raises ValueError for
-    z >= 0 or z below -1/e beyond the tolerance.
+    wm1 at the branch point (same tolerance as w0) is exactly -1. No loop:
+    below q = 1 + e*z = 1/2 it cuts at r = ln(1 - q); from q = 1/2 on it is
+    wm1_from_log(ln(-z)) and one Newton step on w*exp(w) = z in the exact
+    z, skipped where exp(w) is subnormal, as for subnormal z. Raises
+    ValueError for z >= 0 or z below -1/e beyond the tolerance.
     """
     if not math.isfinite(z) or z >= 0.0:
         raise ValueError(f"wm1 needs -1/e <= z < 0, got {z!r}")
-    if -z < sys.float_info.min:
-        # w*exp(w) is subnormal at the root: Halley's residual loses its digits
-        return wm1_from_log(math.log(-z))
     q = 1.0 + _E * z
     if q <= 0.0:
         if z < _BRANCH_POINT_MIN:
@@ -248,8 +246,9 @@ def wm1(z: float) -> float:
         q = 0.0
     if q < 0.5:
         return _secondary(math.log1p(-q)) - 1.0
-    lz = math.log(-z)
-    return _halley(lz - math.log(-lz), z)
+    w = wm1_from_log(math.log(-z))
+    ew = math.exp(w)
+    return w - (w * ew - z) / (ew * (w + 1.0)) if ew >= sys.float_info.min else w
 
 
 def wm1_from_log(m: float) -> float:

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -220,6 +221,34 @@ class TestGammaPdf:
             gamma_pdf(1e-323, params)
         with pytest.raises(ValueError, match="overflows"):
             gamma_pdf_values([0.0, 1e-323], params)
+
+    @pytest.mark.parametrize(
+        "x,params,overflows",
+        [
+            (1.7e308, ShapeScale(2.55e305, 0.5), False),
+            (1.7e308, ShapeScale(2.55e305, 1.0), False),
+            (1.7e308, ShapeScale(2.55e305, 1e300), False),
+            (sys.float_info.max, ShapeScale(2.55e305, 1.0), False),
+            (2e-310, ShapeScale(3.0, 1e-310), True),
+        ],
+    )
+    def test_density_against_mpmath_log_density(self, x, params, overflows):
+        # (a - 1)*ln(x) overflows at a = 2.55e305 and x near DBL_MAX, though
+        # lgamma(a) does not: the exponent is then inf or inf - inf = NaN,
+        # but the density underflows to 0. A density that does overflow
+        # still raises.
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            a, b, t = mp.mpf(params.a), mp.mpf(params.b), mp.mpf(x)
+            log_p = float((a - 1) * mp.log(t) - t / b - mp.loggamma(a) - a * mp.log(b))
+        if overflows:
+            assert log_p > math.log(sys.float_info.max)
+            with pytest.raises(ValueError, match="overflows"):
+                gamma_pdf(x, params)
+        else:
+            assert log_p < math.log(5e-324) - 1.0
+            assert gamma_pdf(x, params) == 0.0
+            assert gamma_pdf_values([1.0, x], params) == [0.0, 0.0]
 
 
 def reference_pdf(x, params):

@@ -170,10 +170,11 @@ class TestAgainstOracle:
 
 class TestFromHalfAgainstMpmath:
     """w0 and wm1 from q = 1 + e*z = 1/2 on, where w0 takes the kernel's
-    step at x = -z and wm1 Halley's method in z, against 40-digit mpmath in
-    ulps: 3 000 seeded z with -z log-uniform in [1e-300, 1/(2e)] and 1 500
-    uniform in q in [1/2, 1). Each bound is the worst seen on these z (0.61
-    ulps for w0, 1.02 for wm1) rounded up to a quarter ulp."""
+    step at x = -z and wm1 the kernel at ln(-z) and one Newton step in z,
+    against 40-digit mpmath in ulps: 3 000 seeded z with -z log-uniform in
+    [1e-300, 1/(2e)] and 1 500 uniform in q in [1/2, 1). Each bound is the
+    worst seen on these z (0.61 ulps for w0, 1.02 for wm1, as for Halley's
+    method in z before it) rounded up to a quarter ulp."""
 
     def test_within_ulps_of_mpmath(self):
         mp = pytest.importorskip("mpmath")
@@ -186,6 +187,19 @@ class TestFromHalfAgainstMpmath:
                     want = mp.lambertw(mp.mpf(z), k).real
                     ulps = abs(fn(z) - want) / math.ulp(float(want))
                     assert ulps <= bound, f"{fn.__name__}({z!r}): {float(ulps):.2f} ulps"
+
+    def test_wm1_near_dbl_min(self):
+        # -z in [DBL_MIN, 1e-300], where w*exp(w) is near the subnormals:
+        # within 0.75 ulps (0.50 worst seen; Halley's method in z read 1.03)
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(29)
+        lo, hi = math.log(sys.float_info.min), math.log(1e-300)
+        with mp.workdps(50):
+            for _ in range(1000):
+                z = -math.exp(rng.uniform(lo, hi))
+                want = mp.lambertw(mp.mpf(z), -1).real
+                ulps = abs(wm1(z) - want) / math.ulp(float(want))
+                assert ulps <= 0.75, f"wm1({z!r}): {float(ulps):.2f} ulps"
 
 
 def around(z, n=8):
@@ -673,6 +687,26 @@ class TestPieceMap:
             r, entries, _ = kernel_work(lambda: fn(z))
             assert entries == mapped_work(BRANCH_ENTRY[branch], r)[0], f"{fn.__name__}({z!r})"
             assert entries[1:] in (["_offsets"], ["_offsets(v)"]), f"{fn.__name__}({z!r})"
+
+
+class TestWm1FromHalf:
+    """From q = 1 + e*z = 1/2 on, wm1 is the kernel's secondary branch at
+    r = 1 + ln(-z) and one Newton step in z: one _secondary, with the work
+    the kernel's map names for it, one log for ln(-z), one exp for the
+    step and the domain checks of wm1 and wm1_from_log, and no Halley
+    loop, down to subnormal z."""
+
+    @pytest.mark.parametrize("z", [-0.18, -0.1, -1e-5, -1e-300, -sys.float_info.min, -5e-324])
+    def test_one_secondary_and_no_halley(self, kernel_work, monkeypatch, z):
+        halley = []
+        monkeypatch.setattr(lambertw, "_halley", lambda *args: halley.append(args))
+        r, entries, counts = kernel_work(lambda: wm1(z))
+        want_entries, want_counts = mapped_work("_secondary", r)
+        want_counts = dict(want_counts)
+        for name, n in (("log", 1), ("exp", 1), ("isfinite", 2)):
+            want_counts[name] = want_counts.get(name, 0) + n
+        assert (entries, counts) == (want_entries, want_counts), f"wm1({z!r})"
+        assert not halley, f"wm1({z!r})"
 
 
 class TestHalleyMessage:
