@@ -37,11 +37,25 @@ the principal branch's f(E) = ln E - x*E at v = -W0 <= 0.232, at most
 by +-STEP_BOUND = 2e-6 on each interval's grid and checks it against
 STEP_CONSTANT*e**3 = 0.42*e**3: below 4e-18, a few hundredths of an ulp.
 The start errors above are the largest on a grid of each interval, with
-the rounded coefficients evaluated exactly. The script prints the tables
-with their measured start and step errors; with --check it exits 1
-instead if the coefficients committed in lambertw.py differ from a fresh
-fit, a start error exceeds STEP_BOUND or a step's exceeds
-STEP_CONSTANT*STEP_BOUND**3.
+the rounded coefficients evaluated exactly.
+
+`w0` on z >= 0 takes no table: Winitzki's start ln(1+z)*(1 - ln(1 +
+ln(1+z))/(2 + ln(1+z))) and a fixed number of Halley steps on f(w) = w -
+z*exp(-w). The script runs both as lambertw.py writes them, at 60 digits,
+on z log-uniform in [5e-324, DBL_MAX] and uniform in [0, 5]. Its start
+error is taken in units of min(W0, 1): relative where W0 <= 1 (1.97e-2 at
+most, near z = 2) and absolute above (7.7e-2 at most, near W0 = 12). A
+step takes an absolute error e to about |w(w - 2)|/(12(1 + w)**2)*e**3,
+at most e**3/12, while a relative start error of 2e-2 at W0 = 700 would be
+14 absolute, outside the steps' reach. From starts off by +-W0_START_BOUND
+= 8e-2 in those units the steps must leave below
+STEP_CONSTANT*STEP_BOUND**3 relative, the kernel steps' own bound: three
+leave 1.6e-46, two 1.5e-16, so a dropped step fails the check.
+
+The script prints the tables with their measured start and step errors;
+with --check it exits 1 instead if the coefficients committed in
+lambertw.py differ from a fresh fit, a start error exceeds STEP_BOUND (for
+w0, W0_START_BOUND) or a step's exceeds STEP_CONSTANT*STEP_BOUND**3.
 
 Run from anywhere: python scripts/fit_offsets.py [--check]
 """
@@ -49,12 +63,14 @@ Run from anywhere: python scripts/fit_offsets.py [--check]
 import ast
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from mpmath import cos, exp, lambertw, log, log1p, lu_solve, matrix, mp, mpf, pi, sqrt
 
 _SOURCE = Path(__file__).resolve().parents[1] / "src" / "gammabw" / "lambertw.py"
 STEP_BOUND = 2e-6
 STEP_CONSTANT = 0.42
+W0_START_BOUND = 8e-2  # in units of min(W0, 1)
 GRID = 400  # grid points per interval for the start and step errors
 
 S_OFFSETS = "1.2"
@@ -88,6 +104,13 @@ def assignment(function: str, name: str) -> ast.expr:
 TAIL_R = ast.literal_eval(assignment("", "_TAIL_R"))
 S_CENTRE = ast.literal_eval(assignment("_secondary", "h").right)  # h = sqrt(-2r) - S_CENTRE
 ETA = compile(ast.Expression(assignment("_secondary", "eta")), _SOURCE.name, "eval")
+W0_LN1Z = compile(ast.Expression(assignment("w0", "ln1z")), _SOURCE.name, "eval")
+W0_START = compile(ast.Expression(assignment("w0", "w")), _SOURCE.name, "eval")
+W0_STEPS = compile(  # w0's loop of Halley steps, its count included
+    ast.Module([next(n for n in ast.walk(FUNCTIONS["w0"]) if isinstance(n, ast.For))], []),
+    _SOURCE.name,
+    "exec",
+)
 
 
 def offset(s):
@@ -213,6 +236,28 @@ def tail_errors() -> tuple[float, float]:
         return float(max(starts)), step_error(roots)
 
 
+def w0_errors() -> tuple[float, float]:
+    """w0's start on z >= 0, in units of min(W0, 1), and the relative
+    error of its steps from starts off by +-W0_START_BOUND in those units:
+    the worst of each on z log-uniform in [5e-324, DBL_MAX] and uniform in
+    [0, 5], with the start and the steps as lambertw.py writes them."""
+    with mp.workdps(60):
+        exact = SimpleNamespace(exp=exp, log1p=log1p)
+        lo, hi = log(mpf(5e-324)), log(mpf(sys.float_info.max))
+        starts, steps = [], []
+        for z in [exp(t) for t in grid(lo, hi)] + grid(mpf(0), mpf(5))[1:]:
+            w = lambertw(z).real
+            unit = min(w, 1)
+            names = {"math": exact, "z": z}
+            names["ln1z"] = eval(W0_LN1Z, names)
+            starts.append(abs(eval(W0_START, names) - w) / unit)
+            for sign in (1, -1):
+                names["w"] = w + sign * W0_START_BOUND * unit
+                exec(W0_STEPS, names)
+                steps.append(abs(names["w"] / w - 1))
+        return float(max(starts)), float(max(steps))
+
+
 def horner(name: str, prefix: str, variable: str, coefficients: list[float]) -> str:
     """`name = prefix(c0 + v * (c1 + ...))`, one coefficient per line."""
     lines = [f"    {name} = {prefix}("]
@@ -252,6 +297,7 @@ def main(argv: list[str]) -> int:
         return 2
     tables = fit()
     tail_start, tail_step = tail_errors()
+    w0_start, w0_step = w0_errors()
     measured = [(a, b) for _, _, a, b in tables.values() if a is not None]
     starts = [tail_start] + [a for a, _ in measured]
     steps = [tail_step] + [b for _, b in measured]
@@ -267,6 +313,13 @@ def main(argv: list[str]) -> int:
             print(f"a step error {max(steps):.3g}*e**3 exceeds {STEP_CONSTANT:g}*e**3",
                   file=sys.stderr)
             return 1
+        if w0_start > W0_START_BOUND:
+            print(f"w0's start error {w0_start:.2g} exceeds {W0_START_BOUND:g}", file=sys.stderr)
+            return 1
+        if w0_step > STEP_CONSTANT * STEP_BOUND**3:
+            print(f"w0's steps leave {w0_step:.2g}, above {STEP_CONSTANT * STEP_BOUND**3:.2g}",
+                  file=sys.stderr)
+            return 1
         return 0
     for function, name, prefix, variable in LAYOUT:
         coefficients, interval, start, step = tables[name]
@@ -275,6 +328,8 @@ def main(argv: list[str]) -> int:
         print(horner(name, prefix, variable, coefficients))
     print(f"# _secondary below r = {TAIL_R}: de Bruijn's series through 1/L**5, "
           f"start error {tail_start:.2g}, step error {tail_step:.3f}*e**3")
+    print(f"# w0 on z >= 0: Winitzki's start, error {w0_start:.2g} in units of min(W0, 1); "
+          f"its steps from +-{W0_START_BOUND:g} leave {w0_step:.2g}")
     return 0
 
 

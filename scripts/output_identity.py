@@ -154,6 +154,11 @@ FIXED = [
         "-1e-300", "5e-324", "1.0", "2.718281828459045", "10.0", "1e300", "inf", "nan",
         # the seam q = 1/2 at -1/(2e) and its neighbours, and -DBL_MIN
         "-0.1839397205857212", "-0.18393972058572117", "-0.18393972058572114", "-2.2250738585072014e-308",
+        # z > 0: e and 1e300 with their neighbours, where Halley's method in
+        # z once switched its start and its scaling; where its terms would
+        # overflow unscaled; near 0.066, once 2.2 ulps off; the largest double
+        "2.7182818284590446", "2.7182818284590455", "9.999999999999999e+299", "1.0000000000000002e+300",
+        "2.76e307", "0.066", "1.7976931348623157e+308",
     ]),
     *_each("wm1({})", [
         "-0.36787944117144233", "-0.36787944117144245", "-0.368", "-0.2", "-1e-300", "-5e-324", "-2e-310",

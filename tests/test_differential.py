@@ -48,7 +48,9 @@ mp = pytest.importorskip("mpmath")
 # of band_cuts (41 716 cuts), 0.55 ulps of that crossing.
 WIDTH_REL = 4e-16
 CROSS_HW = 1e-15
-W0_ULPS = 2.0
+# w0 on z >= 0 within 1.25 of its own ulps (worst seen 1.04 on this
+# module's 305 z)
+W0_ULPS = 1.25
 # Octave counts at the exact r = ln(y)/(a-1) are within 4e-16 relative
 # (worst seen 3.6e-16 over 27 300 cuts: the rounding of r, of the branch
 # difference and of the division by ln 2), and the branch difference at a

@@ -159,8 +159,8 @@ class TestAgainstOracle:
                 assert abs(w - want) <= bound * -want, (z, branch)
 
     def test_w0_positive_axis_within_2_ulps(self):
-        # half of the z up to 10, half log-uniform up to the largest double;
-        # from about z = 2.76e307 on, Halley's terms would overflow unscaled
+        # half of the z up to 10, half log-uniform up to the largest double,
+        # and four z at the top of the range
         rng = random.Random(1)
         zs = [rng.uniform(0.0, 10.0) if k % 2 else 10.0 ** rng.uniform(-300.0, 308.25) for k in range(1000)]
         for z in zs + [2.76e307, 4.45e307, 1e308, sys.float_info.max]:
@@ -246,21 +246,24 @@ class TestW0AgainstMpmath:
                     assert share <= 0.75, f"w0({z!r}): {float(share):.2f} of eps*|dW0/dq|"
 
     def test_positive_axis(self):
-        # Halley's method in z: within 2.25 ulps. Its last residual rounds
-        # at an ulp of z, two ulps of w0 where w0 lies in the binade below
-        # z's: the worst seen, 2.20 ulps near z = 0.066, was over 1.2 million
-        # z in [0, 3], most of them within 10% above 1, 1/2, ..., 1/512.
-        # Here 1.93 is the worst: 3 000 z log-uniform in [e**-700, e**700],
-        # 3 000 uniform in [0, 3] and 1 000 in [1/16, 1.1/16].
+        # Winitzki's start and three Halley steps on w - z*exp(-w), whose
+        # residual rounds at an ulp of w: within 1.25 ulps (1.07 worst
+        # seen). The z: 3 000 log-uniform in [e**-700, e**700], 3 000
+        # uniform in [0, 3], 1 000 in [1/16, 1.1/16], where w0 lies in the
+        # binade below z's and a residual rounded at an ulp of z would cost
+        # two ulps of w0, subnormals, and the top of the range, where
+        # w*exp(w) overflows.
         mp = pytest.importorskip("mpmath")
         rng = random.Random(1)
         zs = [math.exp(rng.uniform(-700.0, 700.0)) if k % 2 else rng.uniform(0.0, 3.0) for k in range(6000)]
         zs += [rng.uniform(0.0625, 0.06875) for _ in range(1000)]
+        zs += [5e-324, 1e-320, 1e-310, math.nextafter(sys.float_info.min, 0.0), sys.float_info.min]
+        zs += [2.76e307, sys.float_info.max]
         with mp.workdps(50):
             for z in zs:
                 want = mp.lambertw(mp.mpf(z), 0).real
                 ulps = abs(w0(z) - want) / math.ulp(float(want))
-                assert ulps <= 2.25, f"w0({z!r}): {float(ulps):.2f} ulps"
+                assert ulps <= 1.25, f"w0({z!r}): {float(ulps):.2f} ulps"
 
 
 def test_tables_match_their_fit():
@@ -693,29 +696,16 @@ class TestWm1FromHalf:
     """From q = 1 + e*z = 1/2 on, wm1 is the kernel's secondary branch at
     r = 1 + ln(-z) and one Newton step in z: one _secondary, with the work
     the kernel's map names for it, one log for ln(-z), one exp for the
-    step and the domain checks of wm1 and wm1_from_log, and no Halley
-    loop, down to subnormal z."""
+    step and wm1's domain check, and no loop, down to subnormal z."""
 
     @pytest.mark.parametrize("z", [-0.18, -0.1, -1e-5, -1e-300, -sys.float_info.min, -5e-324])
-    def test_one_secondary_and_no_halley(self, kernel_work, monkeypatch, z):
-        halley = []
-        monkeypatch.setattr(lambertw, "_halley", lambda *args: halley.append(args))
+    def test_one_secondary_and_no_halley(self, kernel_work, z):
         r, entries, counts = kernel_work(lambda: wm1(z))
         want_entries, want_counts = mapped_work("_secondary", r)
         want_counts = dict(want_counts)
-        for name, n in (("log", 1), ("exp", 1), ("isfinite", 2)):
+        for name, n in (("log", 1), ("exp", 1), ("isfinite", 1)):
             want_counts[name] = want_counts.get(name, 0) + n
         assert (entries, counts) == (want_entries, want_counts), f"wm1({z!r})"
-        assert not halley, f"wm1({z!r})"
-
-
-class TestHalleyMessage:
-    def test_names_the_callers_argument(self, monkeypatch):
-        # above z = 1e300 the iteration runs on z scaled by 2**-64; the
-        # error must name the z the caller passed
-        monkeypatch.setattr(lambertw, "_MAX_ITER", 0)
-        with pytest.raises(ArithmeticError, match=r"z=1e\+305$"):
-            w0(1e305)
 
 
 class TestWm1FromLog:
