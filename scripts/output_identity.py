@@ -310,17 +310,22 @@ def first_difference(theirs: list[str], ours: list[str], name: str) -> str:
     return ""
 
 
+def archive_src(rev: str, dest: str) -> Path:
+    """src/ of the git revision rev, extracted under the directory dest."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True, check=True
+    )
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
+    return Path(dest) / "src"
+
+
 def compare(rev: str) -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(
-            ["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True, check=True
-        )
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            if hasattr(tarfile, "data_filter"):
-                tar.extractall(tmp, filter="data")
-            else:
-                tar.extractall(tmp)
-        theirs = run_sweep(Path(tmp) / "src")
+        theirs = run_sweep(archive_src(rev, tmp))
     ours = run_sweep(ROOT / "src")
     difference = first_difference(theirs, ours, rev)
     if difference:

@@ -62,17 +62,28 @@ def _row(fmt: str, k: int) -> str:
     return ",".join(["%.16e"] * k) + "\n" if fmt == "csv" else "%r\n" * k
 
 
-def _emit_record(fields: list[tuple[str, float]], fmt: str) -> None:
+# (field names, format) of a record: its %-template, built on first use
+_record_templates = {}
+
+
+def _emit_record(names: tuple[str, ...], values: tuple[float, ...], fmt: str) -> None:
     """One row, written as _emit_table writes a table of one row, by one
     %-operation and one write."""
-    if fmt == "json":
-        # json.dumps writes inf and nan as Infinity and NaN; formatting the
-        # record by hand would need a second encoder for them
-        sys.stdout.write(_json_line(dict(fields)))
+    # json.dumps writes a finite float as repr, as the template's %r does,
+    # and inf and nan as Infinity and NaN: a record holding one of them goes
+    # to json.dumps, and so does a finite one whose sum overflows
+    if fmt == "json" and not math.isfinite(sum(values)):
+        sys.stdout.write(_json_line(dict(zip(names, values))))
         return
-    names, values = zip(*fields)
-    header = ",".join(names) + "\n" if fmt == "csv" else ""
-    sys.stdout.write(header + _row(fmt, len(values)) % values)
+    template = _record_templates.get((names, fmt))
+    if template is None:
+        if fmt == "json":
+            template = "{" + ", ".join(f'"{name}": %r' for name in names) + "}\n"
+        else:
+            header = ",".join(names) + "\n" if fmt == "csv" else ""
+            template = header + _row(fmt, len(names))
+        _record_templates[names, fmt] = template
+    sys.stdout.write(template % values)
 
 
 def _emit_table(
@@ -118,23 +129,22 @@ def _oracle_width(params: ShapeScale, y: float) -> float:
     return (a1 * u_high - a1 * u_low) * params.b
 
 
+_FWHM_FIELDS = ("width", "x_low", "x_high", "mode")
+_VERIFY_FIELDS = _FWHM_FIELDS + ("oracle_width", "relative_discrepancy")
+_OCTAVE_FIELDS = ("octaves", "high", "low")
+
+
 def _cmd_fwhm(args: SimpleNamespace) -> int:
     params = ShapeScale(args.a, args.b)
     res = fwym(params, args.y)
-    fields = [
-        ("width", res.width),
-        ("x_low", res.x_low),
-        ("x_high", res.x_high),
-        ("mode", res.mode),
-    ]
+    names, values = _FWHM_FIELDS, (res.width, res.x_low, res.x_high, res.mode)
     code = EXIT_OK
     if args.verify:
         ow = _oracle_width(params, args.y)
         rel = abs(res.width - ow) / ow if 0.0 < ow < math.inf else math.inf
         if res.width == ow:  # a zero width also matches a zero oracle width
             rel = 0.0
-        fields.append(("oracle_width", ow))
-        fields.append(("relative_discrepancy", rel))
+        names, values = _VERIFY_FIELDS, values + (ow, rel)
         if rel > _VERIFY_REL_TOL:
             print(
                 f"verification failed: relative discrepancy {rel:.3e} "
@@ -142,17 +152,14 @@ def _cmd_fwhm(args: SimpleNamespace) -> int:
                 file=sys.stderr,
             )
             code = EXIT_VERIFY
-    _emit_record(fields, args.format)
+    _emit_record(names, values, args.format)
     return code
 
 
 def _cmd_octave(args: SimpleNamespace) -> int:
     params = ShapeScale(args.a, args.b)
     res = octave_bandwidth(params, args.y)
-    _emit_record(
-        [("octaves", res.octaves), ("high", res.high), ("low", res.low)],
-        args.format,
-    )
+    _emit_record(_OCTAVE_FIELDS, (res.octaves, res.high, res.low), args.format)
     return EXIT_OK
 
 
@@ -235,11 +242,23 @@ _COMMANDS = {
         _cmd_compare, "exact width versus normal-curve estimate", (_A_MIN, _A_MAX, _POINTS, _FORMAT)
     ),
 }
-# subcommand: (handler, {flag: option}), for _plain_args
-_PLAIN = {
-    command: (func, {option[0]: option for option in options})
-    for command, (func, _, options) in _COMMANDS.items()
-}
+
+
+def _plain_table(func, options: tuple) -> tuple:
+    """(handler, {flag: (dest, type, choices)}, {dest: default} of the
+    options not required, [dest] of the required ones) of a subcommand."""
+    flags, defaults, required = {}, {}, []
+    for flag, dest, kind, default, req, choices, _ in options:
+        flags[flag] = (dest, kind, choices)
+        if req:
+            required.append(dest)
+        else:
+            defaults[dest] = default
+    return func, flags, defaults, required
+
+
+# subcommand: its _plain_table, for _plain_args
+_PLAIN = {command: _plain_table(func, options) for command, (func, _, options) in _COMMANDS.items()}
 # Options whose value is a float: a value after one of them that starts
 # with "-" and parses as a float is joined to it (see _join_float_values).
 _FLOAT_OPTIONS = frozenset(
@@ -290,7 +309,7 @@ def _plain_args(argv: Sequence[str]) -> SimpleNamespace | None:
     plain = _PLAIN.get(argv[0]) if argv else None
     if plain is None:
         return None
-    func, options = plain
+    func, options, defaults, required = plain
     given: dict[str, object] = {}
     i, n = 1, len(argv)
     while i < n:
@@ -299,7 +318,7 @@ def _plain_args(argv: Sequence[str]) -> SimpleNamespace | None:
         option = options.get(flag)
         if option is None:
             return None
-        _, dest, kind, _, _, choices, _ = option
+        dest, kind, choices = option
         if dest in given:
             return None
         if kind is bool:
@@ -323,12 +342,10 @@ def _plain_args(argv: Sequence[str]) -> SimpleNamespace | None:
             except ValueError:
                 return None
         given[dest] = value
-    for _, dest, _, default, required, _, _ in options.values():
+    for dest in required:
         if dest not in given:
-            if required:
-                return None
-            given[dest] = default
-    return SimpleNamespace(command=argv[0], func=func, **given)
+            return None
+    return SimpleNamespace(command=argv[0], func=func, **{**defaults, **given})
 
 
 def _is_float(text: str) -> bool:

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -45,7 +46,7 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
 
 def test_cli_loads_json_only_when_writing_json():
     # one fresh interpreter: the imports load neither json nor __future__,
-    # then a --format json run loads json on demand and writes the golden
+    # then a --format json run writes the golden
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import gammabw, gammabw.cli; "
         "sys.stderr.write(' '.join(sorted(sys.modules))); "
@@ -59,6 +60,23 @@ def test_cli_loads_json_only_when_writing_json():
     assert {"json", "__future__"}.isdisjoint(done.stderr.decode().split())
     golden = Path(__file__).resolve().parent / "golden" / "fwhm_a2_b1.json"
     assert done.stdout == golden.read_bytes()
+
+
+def test_finite_json_record_loads_no_json():
+    # a record of finite values is written from its template; json.dumps,
+    # and so json, only serves records holding inf or nan and json tables
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import gammabw.cli; "
+        "code = gammabw.cli.main(['fwhm', '--a', '2', '--b', '1', '--verify', '--format', 'json']); "
+        "sys.stderr.write(f'{code} {\"json\" in sys.modules}')"
+    )
+    root = Path(gammabw.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(root)],
+        capture_output=True, check=True,
+    )
+    assert done.stderr.decode() == "0 False"
+    assert json.loads(done.stdout)["relative_discrepancy"] <= 1e-15
 
 
 def test_cli_loads_argparse_only_for_other_spellings():

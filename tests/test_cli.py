@@ -451,6 +451,7 @@ class TestTableBlocks:
             assert capsys.readouterr().out == reference_table(row, names, [], fmt)
 
 
+DBL_MAX = sys.float_info.max
 RECORD_NAMES = ["width", "x_low", "x_high", "mode", "oracle_width", "relative_discrepancy"]
 # floats whose repr, ".16e" and json forms differ in kind from a plain value
 EDGE_VALUES = [0.0, -0.0, 5e-324, 2.5e-310, 1e308, -1e308, math.inf, -math.inf, math.nan]
@@ -479,7 +480,7 @@ class TestRecordWriter:
     def test_bytes_match_a_one_row_table(self, capsys, fmt, k):
         # in json a table's column is a list: of one value, in a one-row table
         for fields in record_fields(seed=k, k=k):
-            cli._emit_record(fields, fmt)
+            cli._emit_record(*zip(*fields), fmt)
             record = capsys.readouterr().out
             cli._emit_table([(name, [value]) for name, value in fields], [], fmt)
             table = capsys.readouterr().out
@@ -492,8 +493,28 @@ class TestRecordWriter:
         monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
         fields = list(zip(RECORD_NAMES, EDGE_VALUES))
         for fmt in cli._FORMATS:
-            cli._emit_record(fields, fmt)
+            cli._emit_record(*zip(*fields), fmt)
         assert len(writes) == len(cli._FORMATS)
+
+    @pytest.mark.parametrize("names", [cli._FWHM_FIELDS, cli._VERIFY_FIELDS, cli._OCTAVE_FIELDS])
+    def test_json_bytes_are_json_dumps(self, names, capsys):
+        # finite values through the template, inf and nan and a finite
+        # record whose sum overflows through json.dumps: the same bytes
+        rng = random.Random(len(names))
+        k = len(names)
+        records = [
+            [rng.choice([-1.0, 1.0]) * math.exp(rng.uniform(-740.0, 709.0)) for _ in range(k)]
+            for _ in range(20)
+        ]
+        for edge in [0.0, -0.0, 5e-324, DBL_MAX, -DBL_MAX, math.inf, -math.inf, math.nan]:
+            for i in range(k):
+                values = [rng.uniform(-1.0, 1.0) for _ in range(k)]
+                values[i] = edge
+                records.append(values)
+        records.append([DBL_MAX, DBL_MAX] + [rng.uniform(-1.0, 1.0) for _ in range(k - 2)])
+        for values in records:
+            cli._emit_record(names, tuple(values), "json")
+            assert capsys.readouterr().out == json.dumps(dict(zip(names, values))) + "\n", values
 
 
 class TestParserReuse:
@@ -685,6 +706,19 @@ class TestOptionTable:
         want = {dest: 2.0 if required else default for _, dest, _, default, required, _, _ in options}
         parsed = vars(cli._build_parser().parse_args(argv))
         assert {dest: parsed[dest] for dest in want} == want
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_plain_defaults_are_the_tables(self, command):
+        # the plain path's own tables: each default as the table gives it,
+        # and no parse without each required option
+        func, _, options = cli._COMMANDS[command]
+        required = [flag for flag, _, _, _, req, _, _ in options if req]
+        argv = [command] + [token for flag in required for token in (flag, "2")]
+        want = {dest: 2.0 if req else default for _, dest, _, default, req, _, _ in options}
+        assert vars(cli._plain_args(argv)) == {"command": command, "func": func, **want}
+        for flag in required:
+            i = argv.index(flag)
+            assert cli._plain_args(argv[:i] + argv[i + 2:]) is None, flag
 
     def test_float_options_are_the_tables(self):
         options = [option for _, _, options in cli._COMMANDS.values() for option in options]
