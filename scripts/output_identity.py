@@ -193,6 +193,10 @@ FIXED = [
         ("5.0", "Branch.PRINCIPAL"), ("-0.5", "Branch.PRINCIPAL"), ("nan", "Branch.PRINCIPAL"),
         ("-0.2", "Branch.SECONDARY"), ("-1e-300", "Branch.SECONDARY"), ("0.1", "Branch.SECONDARY"),
         ("-0.2", "-1"),
+        # q = 1 + e*z near 1e-12, the smallest subnormal and the largest double
+        ("-0.36787944117107446", "Branch.PRINCIPAL"), ("-0.36787944117107446", "Branch.SECONDARY"),
+        ("-5e-324", "Branch.PRINCIPAL"), ("-5e-324", "Branch.SECONDARY"),
+        ("1.7976931348623157e+308", "Branch.PRINCIPAL"),
     ]),
     *_each("oracle_offsets({}, {})", [
         ("3.0", "0.5"), ("1e6", "0.999"), ("1.001", "1e-300"),
@@ -202,7 +206,7 @@ FIXED = [
         ("3.0", "2.0", "0.0", "0.5"), ("3.0", "2.0", "-1.0", "0.25"), ("2.0", "1e308", "0.0", "1e-300"),
         ("1.0", "2.0", "0.0", "0.5"),
     ]),
-    *_each("oracle_median_a2({})", ["1.0", "1e-300", "1e300", "1.7e308", "0.0"]),
+    *_each("oracle_median_a2({})", ["1.0", "1e-300", "1e300", "1.07e308", "1.7e308", "0.0"]),
 ]
 
 

@@ -3,9 +3,10 @@
 Closed-form full widths at any proportion of the maximum (FWHM and
 friends) and octave bandwidths for functions shaped like gamma densities,
 built on a self-contained evaluation of the two real Lambert W branches.
-Independent oracles validate them: bracketed bisection for Lambert W and
-the Gamma(2, b) median, and a certified Newton solve of the level
-equation in the offset from the peak for the crossings.
+Independent oracles validate them: for Lambert W and the Gamma(2, b)
+median one bisection over doubles to the double nearest the root, and a
+certified Newton solve of the level equation in the offset from the peak
+for the crossings.
 """
 
 from . import bandwidth, gamma2, lambertw, oracle

@@ -19,10 +19,11 @@ and checks every table); farthest out W0 = z. The offsets have opposite
 signs, so neither their difference nor the crossings built from them
 cancel; at r = +-0 they are the zeros of their sides, W0 + 1 = +0 and
 Wm1 + 1 = -0 (Kahan, 1987). w0 and wm1 take _principal and _secondary
-below q = 1/2. Beyond, w0 on z < 0 takes the principal start and step at
-the exact x = -z (_principal_v), wm1 _secondary at r = 1 + ln(-z) and one
-Newton step in z, and w0 on z >= 0 Winitzki's start (2003) and three
-Halley steps on w - z*exp(-w), a count fixed by the start's bound too.
+below q = 1/2, at r = ln(-e*z) from a compensated product. Beyond, w0 on
+z < 0 takes the principal start and step at the exact x = -z
+(_principal_v), wm1 _secondary at r = 1 + ln(-z) and one Newton step in
+z, and w0 on z >= 0 Winitzki's start (2003) and three Halley steps on
+w - z*exp(-w), a count fixed by the start's bound too.
 """
 
 import math
@@ -33,6 +34,9 @@ __all__ = ["Branch", "w0", "wm1", "wm1_from_log", "branch_difference_from_log_ra
 
 _E = math.e
 _EPS = math.ulp(1.0)
+
+# _E = _E_HI + _E_LO in 26-bit halves (Dekker's split), and e - _E
+_E_HI, _E_LO, _E_TAIL = 2.7182818055152893, 2.2943755784154973e-08, 1.4456468917292502e-16
 
 # Inputs down to this, 4 eps relative below -1/e, are the branch point
 # itself: callers compute z with a couple of rounding errors of their own.
@@ -187,25 +191,39 @@ def _secondary(r: float) -> float:
     return d + k * (1.0 - 0.5 * k / (d * c))
 
 
+def _near_branch_point(z: float, name: str) -> float | None:
+    """r = ln(-e*z) <= 0 where q = 1 + e*z, rounded, is below 1/2, else
+    None; z below -1/e within the tolerance gives r = 0, and beyond it
+    raises ValueError. e*(-z) = p + err is Dekker's product of -z and _E,
+    err taking _E_TAIL*(-z) too, so p - 1 is exact (Sterbenz's lemma) and
+    r = log1p((p - 1) + err) keeps every digit of a small q."""
+    if 1.0 + _E * z >= 0.5:
+        return None
+    if z < _BRANCH_POINT_MIN:
+        raise ValueError(f"{name} is undefined below -1/e, got z={z!r}")
+    x = -z
+    p, xh = _E * x, 134217729.0 * x
+    xh -= xh - x
+    xl = x - xh
+    err = (((_E_HI * xh - p) + _E_HI * xl + _E_LO * xh) + _E_LO * xl) + _E_TAIL * x
+    return min(math.log1p((p - 1.0) + err), 0.0)
+
+
 def w0(z: float) -> float:
     """Principal branch: the solution w >= -1 of w*exp(w) = z, for z >= -1/e.
 
     w0(+-0) is +-0, sign kept; w0 at the branch point -1/e (with a few ulp
     of tolerance below it) is exactly -1. On z < 0 it takes the kernel, with
-    no loop: below q = 1 + e*z = 1/2 in r = ln(1 - q), from q = 1/2 on at
+    no loop: below q = 1 + e*z = 1/2 in r = ln(-e*z), from q = 1/2 on at
     x = -z itself. On z >= 0 it takes Winitzki's start, within 2e-2
     relative, and three Halley steps on w - z*exp(-w), no stop test.
     Raises ValueError outside the domain.
     """
     if not math.isfinite(z):
         raise ValueError(f"w0 needs a finite argument, got {z!r}")
-    q = 1.0 + _E * z
-    if q <= 0.0:
-        if z < _BRANCH_POINT_MIN:
-            raise ValueError(f"w0 is undefined below -1/e, got z={z!r}")
-        q = 0.0
-    if q < 0.5:
-        return -_principal(math.log1p(-q), 1.0)[0]
+    r = _near_branch_point(z, "w0")
+    if r is not None:
+        return -_principal(r, 1.0)[0]
     if z < 0.0:
         return -_principal_v(-z)
     # f(w) = w - z*exp(-w), f' = 1 + t and f'' = -t at t = z*exp(-w): for
@@ -227,20 +245,16 @@ def wm1(z: float) -> float:
     """Secondary branch: the solution w <= -1 of w*exp(w) = z, for -1/e <= z < 0.
 
     wm1 at the branch point (same tolerance as w0) is exactly -1. No loop:
-    below q = 1 + e*z = 1/2 it cuts at r = ln(1 - q); from q = 1/2 on it is
+    below q = 1 + e*z = 1/2 it cuts at r = ln(-e*z); from q = 1/2 on it is
     _secondary at r = 1 + ln(-z) and one Newton step on w*exp(w) = z in the
     exact z, skipped where exp(w) is subnormal, as for subnormal z. Raises
     ValueError for z >= 0 or z below -1/e beyond the tolerance.
     """
     if not math.isfinite(z) or z >= 0.0:
         raise ValueError(f"wm1 needs -1/e <= z < 0, got {z!r}")
-    q = 1.0 + _E * z
-    if q <= 0.0:
-        if z < _BRANCH_POINT_MIN:
-            raise ValueError(f"wm1 is undefined below -1/e, got z={z!r}")
-        q = 0.0
-    if q < 0.5:
-        return _secondary(math.log1p(-q)) - 1.0
+    r = _near_branch_point(z, "wm1")
+    if r is not None:
+        return _secondary(r) - 1.0
     w = _secondary(math.log(-z) + 1.0) - 1.0
     ew = math.exp(w)
     return w - (w * ew - z) / (ew * (w + 1.0)) if ew >= sys.float_info.min else w

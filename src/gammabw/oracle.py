@@ -3,25 +3,19 @@
 Each routine solves its defining equation directly inside a bracket, so
 its answer rests on monotonicity alone, and none calls the Lambert
 evaluators of the production path, so they share no failure modes. The
-Lambert W and median oracles bisect. The crossing oracle takes Newton
-steps on the level equation in the offset from the peak, kept inside the
-bracket and backed by bisection, and returns an offset only once the
-level is seen to change sign within a few ulps of it: fast and accurate
-to float resolution, also where the crossings merge at the peak. Near the
-peak it starts from the series of its own roots, so one Newton step and
-the two evaluations of the certificate usually settle each offset.
-oracle_offsets returns those offsets, which depend on the shape and the
-level alone, in units of the mode; oracle_crossings places them at the
-mode of a given shape. Used by the test suite and by the CLI --verify
-mode, which needs only the offsets.
+Lambert W and median oracles are one bisection over doubles on 40-digit
+decimal residuals, which returns the double nearest the root. The
+crossing oracle takes Newton steps, backed by bisection, on the level
+equation in the offset from the peak, and returns an offset once the
+level changes sign within a few ulps of it. oracle_offsets returns the
+offsets in units of the mode, all that the CLI --verify mode needs, and
+oracle_crossings places them at the mode of a shape.
 """
 
 import math
 import sys
-from collections.abc import Callable
 
-from .bandwidth import GammaShapeSpec
-from .gamma2 import cdf_a2
+from .bandwidth import GammaShapeSpec, ShapeScale
 from .lambertw import Branch
 
 __all__ = [
@@ -33,6 +27,12 @@ __all__ = [
 ]
 
 _INV_E = 1.0 / math.e
+
+# u*exp(u) - z in floats has the exact residual's sign where it exceeds
+# _ROUGH*|u*exp(u)| + _ROUGH_TINY in size: exp(u) is within an ulp, the
+# product rounds once more, the subtraction keeps the sign of what it
+# rounds, and _ROUGH_TINY covers a subnormal exp(u) times |u| < 2**11.
+_ROUGH, _ROUGH_TINY = 2.0**-50, 2.0**-1060
 
 # The certificate's half-width, in ulps of the returned offset u. For
 # |u| >= 1/4 the level is formed from log1p(u) - u, whose rounding leaves
@@ -65,76 +65,51 @@ class BracketError(RuntimeError):
     """A crossing does not fit in a double, so no finite bracket holds it."""
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float, atol: float) -> float:
-    """Root of f on [lo, hi] by bisection, to atol or float resolution.
-
-    f(lo) and f(hi) must have opposite signs (zero counts as negative).
-    """
-    flo = f(lo)
+def _nearest_double(exact, below: float, above: float, rough=lambda x: 0.0) -> float:
+    """The double nearest the root of a monotone residual, <= 0 at below
+    and > 0 at above (either may be the larger): bisection, mid = below +
+    (above - below)/2, down to two adjacent doubles, then the one with the
+    smaller residual. exact(x) is the residual in decimal arithmetic, and
+    decides each sign that rough(x) leaves open: the residual in floats
+    where its rounding cannot change its sign, and 0.0 elsewhere."""
     while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi or (hi - lo) <= atol:
-            return mid
-        fm = f(mid)
-        if (fm <= 0.0) == (flo <= 0.0):
-            lo, flo = mid, fm
+        mid = below + (above - below) / 2.0
+        if mid == below or mid == above:
+            return below if abs(exact(below)) <= abs(exact(above)) else above
+        if (rough(mid) or exact(mid)) <= 0:
+            below = mid
         else:
-            hi = mid
+            above = mid
 
 
 def oracle_lambert_w(z: float, branch: Branch) -> float:
-    """Lambert W by bisection on u*exp(u) = z; independent of the fast path.
-
-    The rounding of u*exp(u) - z leaves the principal branch's root up to
-    2.33 ulps off on [-1/(2e), 0) (over 30 000 uniform z), so there
-    _nearest_root rounds it to the nearest double. The root lies in
-    [-0.232, 0) there, where u*exp(u) rises at least 0.61 times as fast as
-    u, so it is a few ulps from the bisection's answer; nearer the branch
-    point that rise vanishes, and the bisection's answer is returned.
-    """
+    """Lambert W, the double nearest the root of u*exp(u) = z on the
+    branch's side of u = -1, by _nearest_double on 40-digit decimal and
+    float residuals; independent of the fast path."""
     if not isinstance(branch, Branch):
         raise TypeError(f"branch must be a Branch member, got {branch!r}")
     if branch is Branch.PRINCIPAL:
         if not (math.isfinite(z) and z >= -_INV_E):
             raise ValueError(f"principal branch needs z >= -1/e, got {z!r}")
-        lo = -1.0
-        hi = 1.0 if z <= math.e else 2.0 * math.log(z)
+        above = 1.0 if z <= math.e else 2.0 * math.log(z)
     else:
         if not (math.isfinite(z) and -_INV_E <= z < 0.0):
             raise ValueError(f"secondary branch needs -1/e <= z < 0, got {z!r}")
-        lo = min(-700.0, 2.0 * math.log(-z))
-        hi = -1.0
-    if z + _INV_E <= 0.0:
-        # At the branch point the two roots merge at the bracket edge and
-        # u*exp(u) - z only touches zero, so there is no sign change left.
-        return -1.0
-    # Run to float resolution; that is always within 1e-14*max(1, |u|).
-    u = _bisect(lambda u: u * math.exp(u) - z, lo, hi, 0.0)
-    return _nearest_root(u, z) if branch is Branch.PRINCIPAL and -0.5 * _INV_E <= z < 0.0 else u
-
-
-def _nearest_root(u: float, z: float) -> float:
-    """The double nearest the root of v*exp(v) = z, from a u a few ulps from
-    it where v*exp(v) increases (v > -1): u steps an ulp at a time toward
-    the root until the residual, in 40-digit decimal arithmetic, changes
-    sign, and of the two doubles at the sign change the one with the
-    smaller residual is taken."""
+        above = min(-700.0, 2.0 * math.log(-z))
+    # at z = -1/math.e, below -1/e, every residual is > 0: the search ends at -1
     import decimal
 
-    context = decimal.Context(prec=40)
+    context, exact_z = decimal.Context(prec=40), decimal.Decimal(z)
 
-    def residual(v: float) -> decimal.Decimal:
-        d = decimal.Decimal(v)
-        return context.subtract(context.multiply(d, context.exp(d)), decimal.Decimal(z))
+    def exact(u: float) -> decimal.Decimal:
+        d = decimal.Decimal(u)
+        return context.subtract(context.multiply(d, context.exp(d)), exact_z)
 
-    f_u = residual(u)
-    toward = math.inf if f_u < 0 else -math.inf
-    while True:
-        v = math.nextafter(u, toward)
-        f_v = residual(v)
-        if (f_v < 0) != (f_u < 0):
-            return v if abs(f_v) < abs(f_u) else u
-        u, f_u = v, f_v
+    def rough(u: float) -> float:
+        p = u * math.exp(u)
+        return p - z if abs(p - z) > _ROUGH * abs(p) + _ROUGH_TINY else 0.0
+
+    return _nearest_double(exact, -1.0, above, rough)
 
 
 def _log1pmx(u: float) -> float:
@@ -263,12 +238,21 @@ def oracle_crossings(spec: GammaShapeSpec, y: float) -> tuple[float, float]:
 
 
 def oracle_median_a2(b: float) -> float:
-    """Median of Gamma(2, b) by bisecting the CDF against 1/2 on [0, 10*b],
-    capped at the largest double. Raises ValueError for a b that cdf_a2
-    rejects, and when the median lies beyond the cap (overflows double precision)."""
-    # Bisect u = x/2, so that the bracket ends never sum past the largest
-    # double; halving is exact, so the steps are those of bisecting x.
-    hi = min(5.0 * b, 0.5 * sys.float_info.max)
-    if cdf_a2(2.0 * hi, b) < 0.5:
+    """Median of Gamma(2, b): the double nearest the root x of
+    1/2 - (1 + t)*exp(-t), t = x/b, by _nearest_double on 40-digit decimal
+    residuals in [0, 10*b], capped at the largest double. Raises ValueError
+    for a b that ShapeScale rejects, and where the median overflows."""
+    ShapeScale(2.0, b)
+    import decimal
+
+    context, exact_b = decimal.Context(prec=40), decimal.Decimal(b)
+
+    def exact(x: float) -> decimal.Decimal:
+        t = context.divide(decimal.Decimal(x), exact_b)
+        tail = context.multiply(context.add(1, t), context.exp(-t))
+        return context.subtract(decimal.Decimal(0.5), tail)
+
+    above = min(10.0 * b, sys.float_info.max)
+    if exact(above) <= 0:
         raise ValueError(f"median of Gamma(2, {b!r}) overflows double precision")
-    return 2.0 * _bisect(lambda u: cdf_a2(2.0 * u, b) - 0.5, 0.0, hi, 0.5e-13 * b)
+    return _nearest_double(exact, 0.0, above)

@@ -41,7 +41,8 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
     )
     where, loaded = done.stdout.splitlines()
     assert Path(where).resolve().parent.parent == root
-    assert {"dataclasses", "inspect", "typing"}.isdisjoint(loaded.split())
+    # the referee imports decimal when it is called, not before
+    assert {"dataclasses", "decimal", "inspect", "typing"}.isdisjoint(loaded.split())
 
 
 def test_cli_loads_json_only_when_writing_json():
@@ -64,18 +65,19 @@ def test_cli_loads_json_only_when_writing_json():
 
 def test_finite_json_record_loads_no_json():
     # a record of finite values is written from its template; json.dumps,
-    # and so json, only serves records holding inf or nan and json tables
+    # and so json, only serves records holding inf or nan and json tables;
+    # --verify takes the crossing oracle, which needs no decimal
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import gammabw.cli; "
         "code = gammabw.cli.main(['fwhm', '--a', '2', '--b', '1', '--verify', '--format', 'json']); "
-        "sys.stderr.write(f'{code} {\"json\" in sys.modules}')"
+        "sys.stderr.write(f'{code} {\"json\" in sys.modules} {\"decimal\" in sys.modules}')"
     )
     root = Path(gammabw.__file__).resolve().parent.parent
     done = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code, str(root)],
         capture_output=True, check=True,
     )
-    assert done.stderr.decode() == "0 False"
+    assert done.stderr.decode() == "0 False False"
     assert json.loads(done.stdout)["relative_discrepancy"] <= 1e-15
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import types
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from conftest import R_LOG_FORM, mp_branches, rel_err
 
 from gammabw import bandwidth, oracle
 from gammabw.bandwidth import GammaShapeSpec, ShapeScale, fwym, mode
-from gammabw.gamma2 import median_a2
+from gammabw.gamma2 import cdf_a2, median_a2
 from gammabw.lambertw import Branch
 from gammabw.oracle import (
     BracketError,
@@ -127,9 +128,8 @@ class TestOracleLambertW:
         assert abs(u * math.exp(u) - (-1e-290)) <= 1e-12 * 1e-290
 
     def test_principal_branch_correctly_rounded_to_half_branch_point(self):
-        # on [-1/(2e), 0) the bisection's answer is rounded to the nearest
-        # double; the bisection alone left it up to 2.33 ulps off over
-        # 30 000 uniform z
+        # the double nearest the root, here on [-1/(2e), 0): z uniform,
+        # -z log-uniform down to the subnormals, and the edges
         mp = pytest.importorskip("mpmath")
         rng = random.Random(23)
         edge = -0.5 * INV_E
@@ -141,6 +141,30 @@ class TestOracleLambertW:
                 want = mp.lambertw(z, 0).real
                 ulps = abs(oracle_lambert_w(z, Branch.PRINCIPAL) - want) / math.ulp(float(want))
                 assert ulps <= 0.5, f"z={z!r}: {float(ulps):.2f} ulps"
+
+    def test_both_branches_correctly_rounded_in_every_region(self):
+        # q = 1 + e*z log-uniform down to 1e-16 and the 8 doubles above
+        # -1/e, where u*exp(u) - z goes flat; q in [1/2, 1); -z log-uniform
+        # down to the subnormals; z > 0 up to the largest double; and
+        # subnormal z
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(31)
+        zs = [(math.exp(rng.uniform(math.log(1e-16), math.log(0.5))) - 1.0) / math.e for _ in range(300)]
+        zs += [(rng.uniform(0.5, 1.0) - 1.0) / math.e for _ in range(100)]
+        zs += [-math.exp(rng.uniform(math.log(5e-324), math.log(0.5 * INV_E))) for _ in range(100)]
+        zs += [math.exp(rng.uniform(math.log(5e-324), math.log(sys.float_info.max))) for _ in range(150)]
+        zs += [rng.uniform(0.0, 10.0) for _ in range(50)]
+        z = -0.3678794411714423  # the double next above -1/e
+        for _ in range(8):
+            zs.append(z)
+            z = math.nextafter(z, 0.0)
+        zs += [-5e-324, -1e-310, 5e-324, 1e-310, sys.float_info.max]
+        with mp.workdps(50):
+            for z in zs:
+                for branch in Branch if z < 0.0 else [Branch.PRINCIPAL]:
+                    want = mp.lambertw(z, branch.value).real
+                    ulps = abs(oracle_lambert_w(z, branch) - want) / math.ulp(float(want))
+                    assert ulps <= 0.5, f"z={z!r}, {branch}: {float(ulps):.2f} ulps"
 
 
 class TestOracleCrossings:
@@ -352,14 +376,28 @@ class TestOracleOffsets:
 
 class TestOracleMedian:
     def test_anchor(self):
-        assert rel_err(oracle_median_a2(1.0), MEDIAN_B1) < 1e-12
+        assert oracle_median_a2(1.0) == MEDIAN_B1
 
     def test_scaling(self):
-        assert rel_err(oracle_median_a2(2.0), 2.0 * MEDIAN_B1) < 1e-12
+        assert oracle_median_a2(2.0) == 2.0 * MEDIAN_B1
 
     def test_cross_validates_closed_form(self):
         for b in (0.5, 1.0, 2.0, 3.0):
-            assert abs(oracle_median_a2(b) - median_a2(b)) <= 1e-11 * b
+            assert abs(oracle_median_a2(b) - median_a2(b)) <= math.ulp(median_a2(b))
+
+    def test_correctly_rounded(self):
+        # the double nearest b times the root t of (1 + t)*exp(-t) = 1/2,
+        # from the smallest subnormal b to the largest whose median is finite
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(37)
+        bs = [math.exp(rng.uniform(math.log(5e-324), math.log(1.07e308))) for _ in range(40)]
+        bs += [5e-324, 1e-320, sys.float_info.min, 1.0, 3.0, 1e308, 1.07e308]
+        with mp.workdps(50):
+            t = mp.findroot(lambda t: (1 + t) * mp.exp(-t) - mp.mpf(1) / 2, 1.678)
+            for b in bs:
+                want = t * b
+                ulps = abs(oracle_median_a2(b) - want) / math.ulp(float(want))
+                assert ulps <= 0.5, f"b={b!r}: {float(ulps):.2f} ulps"
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -377,15 +415,18 @@ class TestOracleMedian:
         ],
     )
     def test_scale_messages(self, b, message):
-        # cdf_a2 checks the scale first, so these are its messages
+        # ShapeScale checks the scale, with cdf_a2's messages
         with pytest.raises(ValueError) as exc:
             oracle_median_a2(b)
         assert str(exc.value) == message
+        with pytest.raises(ValueError) as closed_form:
+            cdf_a2(1.0, b)
+        assert str(closed_form.value) == message
 
     @pytest.mark.parametrize("b", [5e307, 1e308, 1.07e308])
     def test_median_near_the_largest_double(self, b):
         # the bracket 10*b overflows; capped, it still holds the finite median
-        assert abs(oracle_median_a2(b) - median_a2(b)) <= 1e-11 * b
+        assert abs(oracle_median_a2(b) - median_a2(b)) <= math.ulp(median_a2(b))
 
     @pytest.mark.parametrize("b", [1.08e308, 1.7e308])
     def test_overflowing_median_raises(self, b):
