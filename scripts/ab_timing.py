@@ -3,12 +3,12 @@ tree's, in alternating pairs of fresh interpreters.
 
     python3 scripts/ab_timing.py [--pairs N] REV
         take src/ of the git revision REV with git archive into a temporary
-        directory, then run N pairs (default 10) of `python -S` children, one
-        on each tree, the revision's first in even pairs and the working
-        tree's first in odd ones. Each child times every call of the list.
-        For each call print each tree's median and quartiles over its
-        children, in microseconds per call, the pairs the working tree won
-        and the verdict.
+        directory (archive_src), then run N pairs (default 10) of
+        `python -S` children, one on each tree, the revision's first in
+        even pairs and the working tree's first in odd ones. Each child
+        times every call of the list. For each call print each tree's
+        median and quartiles over its children, in microseconds per call,
+        the pairs the working tree won and the verdict.
     python3 -S scripts/ab_timing.py --time SRC
         the child: time each call on the package under the directory SRC and
         print one line per call, its name and microseconds per call.
@@ -24,9 +24,11 @@ quartile spread; "slower" is the same rule the other way. Standard library
 only.
 """
 
+import io
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import timeit
 from pathlib import Path
@@ -73,10 +75,9 @@ def names(src: str) -> dict[str, object]:
     params = ShapeScale(3.0, 2.0)
     res = fwym(params, 0.5)
     values = (res.width, res.x_low, res.x_high, res.mode, res.width, 0.0)
-    emit = cli._emit_record
     ns = {
         "_plain_args": cli._plain_args,
-        "_emit_record": emit,
+        "_emit_record": cli._emit_record,
         "main": cli.main,
         "fwym": fwym,
         "PARAMS": params,
@@ -85,12 +86,7 @@ def names(src: str) -> dict[str, object]:
     }
     for fmt in FORMATS:
         ns[f"ARGV_{fmt}"] = [*VERIFY_ARGV, fmt]
-        # a tree whose _emit_record takes two arguments takes the record as
-        # one list of (name, value) pairs
-        if emit.__code__.co_argcount == 2:
-            ns[f"RECORD_{fmt}"] = (list(zip(RECORD_FIELDS, values)), fmt)
-        else:
-            ns[f"RECORD_{fmt}"] = (RECORD_FIELDS, values, fmt)
+        ns[f"RECORD_{fmt}"] = (RECORD_FIELDS, values, fmt)
     return ns
 
 
@@ -186,10 +182,20 @@ def report(theirs: Path, ours: Path, label: str, pairs: int) -> list[str]:
     return lines
 
 
-def compare(rev: str, pairs: int) -> int:
-    # the sibling script, on sys.path when this one runs as a script
-    from output_identity import archive_src
+def archive_src(rev: str, dest: str) -> Path:
+    """src/ of the git revision rev, extracted under the directory dest."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True, check=True
+    )
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
+    return Path(dest) / "src"
 
+
+def compare(rev: str, pairs: int) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         lines = report(archive_src(rev, tmp), ROOT / "src", rev, pairs)
     print("\n".join(lines))

@@ -1,14 +1,11 @@
-"""Check that every public output of gammabw is bit-identical to a revision's.
+"""Print every public output of gammabw, one line per call of a fixed sweep.
 
-    python3 scripts/output_identity.py REV
-        take src/ of the git revision REV with git archive into a temporary
-        directory, run the sweep on it and on the working tree's src/, each
-        in its own `python -S` child, and exit 1 naming the first call whose
-        line differs; exit 0 when every line agrees.
     python3 -S scripts/output_identity.py --sweep SRC
         print the sweep's lines for the package under the directory SRC;
         `--sweep src > tests/sweep.txt` regenerates the committed sweep,
         which tests/test_output_identity.py holds the working tree to.
+        To compare with a git revision REV, run it on src/ of a
+        `git worktree add` checkout of REV and diff the two outputs.
 
 The sweep is one fixed, seeded list of calls over every public function of
 gammabw.bandwidth, gammabw.lambertw, gammabw.gamma2 and gammabw.oracle.
@@ -22,16 +19,10 @@ when it raises. Standard library only.
 """
 
 import importlib
-import io
 import math
 import random
-import subprocess
 import sys
-import tarfile
-import tempfile
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
 SEED = 21
 MODULES = ("bandwidth", "lambertw", "gamma2", "oracle")
 
@@ -292,60 +283,10 @@ def sweep(src: str) -> list[str]:
     return lines
 
 
-def run_sweep(src: Path) -> list[str]:
-    """The sweep's lines from a python -S child on the package under src."""
-    done = subprocess.run(
-        [sys.executable, "-S", str(Path(__file__).resolve()), "--sweep", str(src)],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return done.stdout.splitlines()
-
-
-def first_difference(theirs: list[str], ours: list[str], name: str) -> str:
-    """The first call whose line differs between the sweep of name (theirs)
-    and the working tree's, or a difference in their lengths; "" if none."""
-    for i, (old, new) in enumerate(zip(theirs, ours)):
-        if old != new:
-            return f"call {i + 1} differs:\n  {name}: {old}\n  working tree: {new}"
-    if len(theirs) != len(ours):
-        return f"{name} gave {len(theirs)} lines, the working tree {len(ours)}"
-    return ""
-
-
-def archive_src(rev: str, dest: str) -> Path:
-    """src/ of the git revision rev, extracted under the directory dest."""
-    archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True, check=True
-    )
-    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-        if hasattr(tarfile, "data_filter"):
-            tar.extractall(dest, filter="data")
-        else:
-            tar.extractall(dest)
-    return Path(dest) / "src"
-
-
-def compare(rev: str) -> int:
-    with tempfile.TemporaryDirectory() as tmp:
-        theirs = run_sweep(archive_src(rev, tmp))
-    ours = run_sweep(ROOT / "src")
-    difference = first_difference(theirs, ours, rev)
-    if difference:
-        print(difference)
-        return 1
-    errors = sum(" ! " in line for line in ours)
-    print(f"{len(ours)} calls ({errors} raising) identical to {rev}")
-    return 0
-
-
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "--sweep":
         sys.stdout.write("".join(f"{line}\n" for line in sweep(argv[1])))
         return 0
-    if len(argv) == 1 and not argv[0].startswith("-"):
-        return compare(argv[0])
     print(__doc__.split("\n\n")[1], file=sys.stderr)
     return 2
 

@@ -33,14 +33,15 @@ from enum import Enum
 __all__ = ["Branch", "w0", "wm1", "wm1_from_log", "branch_difference_from_log_ratio"]
 
 _E = math.e
-_EPS = math.ulp(1.0)
 
 # _E = _E_HI + _E_LO in 26-bit halves (Dekker's split), and e - _E
 _E_HI, _E_LO, _E_TAIL = 2.7182818055152893, 2.2943755784154973e-08, 1.4456468917292502e-16
 
-# Inputs down to this, 4 eps relative below -1/e, are the branch point
-# itself: callers compute z with a couple of rounding errors of their own.
-_BRANCH_POINT_MIN = -(1.0 + 4.0 * _EPS) / _E
+# Inputs down to _BRANCH_POINT_MIN, _BRANCH_TOL relative below -1/e, are
+# the branch point itself: callers compute z with a couple of rounding
+# errors of their own. wm1_from_log takes m up to _BRANCH_TOL above -1 alike.
+_BRANCH_TOL = 4.0 * math.ulp(1.0)
+_BRANCH_POINT_MIN = -(1.0 + _BRANCH_TOL) / _E
 
 # Above this r, q = -expm1(r) < 1/2, both offsets come from _offsets; at it
 # the secondary branch does too, from the polynomial's fit to |s| <= 1.2
@@ -264,7 +265,7 @@ def wm1_from_log(m: float) -> float:
     """Secondary branch at z = -exp(m), m <= -1, solved in m itself: accurate
     also for proportions y**(1/(a-1)) far below double-precision range,
     where exp(m) underflows. m up to 4 eps above -1 gives -1."""
-    if not (math.isfinite(m) and m <= -1.0 + 4.0 * _EPS):
+    if not (math.isfinite(m) and m <= -1.0 + _BRANCH_TOL):
         raise ValueError(f"wm1_from_log needs a finite m <= -1, got {m!r}")
     return _secondary(min(m + 1.0, 0.0)) - 1.0
 

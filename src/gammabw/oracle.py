@@ -186,11 +186,12 @@ def oracle_offsets(a: float, y: float) -> tuple[float, float]:
     the right in [0, h], h the first point found below the level, by
     Newton steps safeguarded by bisection. With p = sqrt(-2 ln(y)/(a-1))
     below _SERIES_P_MAX they start from the roots' series in p truncated
-    after p**8, and otherwise from the quadratic estimates -+p. An offset
-    is returned only once L is seen to change sign within _CERT_ULPS ulps
-    of it, so like a bisection it rests on monotonicity alone, whatever
-    the start; no Lambert W is evaluated. The offsets have opposite
-    signs, so a width (a-1)*u_high - (a-1)*u_low does not cancel.
+    after p**8, and otherwise the right from the quadratic estimate p and
+    the left from -1 + exp(ln(y)/(a-1) - 1). An offset is returned only
+    once L is seen to change sign within _CERT_ULPS ulps of it, so like a
+    bisection it rests on monotonicity alone, whatever the start; no
+    Lambert W is evaluated. The offsets have opposite signs, so a width
+    (a-1)*u_high - (a-1)*u_low does not cancel.
     """
     if a <= 1.0:
         raise ValueError(f"crossings need a > 1, got a={a!r}")
@@ -207,13 +208,12 @@ def oracle_offsets(a: float, y: float) -> tuple[float, float]:
         odd = p + p * p2 * (c3 + p2 * (c5 + p2 * c7))
         even = p2 * (c2 + p2 * (c4 + p2 * (c6 + p2 * c8)))
         return _offset(a1, log_y, even - odd, 0.0, -1.0), _offset(a1, log_y, even + odd, 0.0, math.inf)
-    # log1p(u) - u is below -u**2/2 for u < 0 and above it for u > 0, so
-    # the estimates -+p lie on the L <= 0 side of the left root and the
-    # L > 0 side of the right one. Far below the peak the left root is
-    # -1 + v with v = exp(ln(y)/(a-1) - 1 + v), and -1 + exp(ln(y)/(a-1) - 1),
-    # also on the L <= 0 side, is the closer start. The start stays above
-    # -1, where L = -inf gives no Newton step.
-    left = max(-p, -1.0 + math.exp(log_y / a1 - 1.0), math.nextafter(-1.0, 0.0))
+    # log1p(u) - u is above -u**2/2 for u > 0, so the estimate p lies on
+    # the L > 0 side of the right root. Far below the peak the left root is
+    # -1 + v with v = exp(ln(y)/(a-1) - 1 + v), and -1 + exp(ln(y)/(a-1) - 1)
+    # lies on its L <= 0 side. The start stays above -1, where L = -inf
+    # gives no Newton step.
+    left = max(-1.0 + math.exp(log_y / a1 - 1.0), math.nextafter(-1.0, 0.0))
     return _offset(a1, log_y, left, 0.0, -1.0), _offset(a1, log_y, p, 0.0, math.inf)
 
 

@@ -2,19 +2,26 @@
 revision's tree and the working tree's in alternating pairs: its list cuts
 every piece of the Lambert kernel's map and reaches the CLI in every
 format, a run of two pairs of the working tree against itself gives one
-row per call, and its verdict follows the paired rule."""
+row per call, its verdict follows the paired rule, and the revision's
+src/ it takes through git archive is that revision's whole src/, whose
+sweep is the revision's committed one."""
 
 import importlib.util
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import gammabw
 from gammabw import cli, lambertw
 from gammabw.lambertw import Branch
 
 SRC = Path(gammabw.__file__).resolve().parent.parent
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "ab_timing.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "ab_timing.py"
 
 
 def load_script():
@@ -76,3 +83,24 @@ def test_verdict_is_the_paired_rule():
     assert script.verdict(theirs, [t - 1.0 for t in theirs[:8]] + [11.0, 11.0]) == (8, "-")
     assert script.verdict(theirs, [t - 0.01 for t in theirs]) == (10, "-")
     assert script.verdict(theirs[:9], [t - 1.0 for t in theirs[:9]]) == (9, "-")
+
+
+def git(*args):
+    done = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+def test_archive_src_is_heads_src_and_sweeps_heads_sweep(tmp_path):
+    try:
+        git("rev-parse", "--verify", "HEAD")
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("not a git checkout with a commit")
+    src = load_script().archive_src("HEAD", str(tmp_path))
+    files = sorted(path.relative_to(tmp_path).as_posix() for path in src.rglob("*") if path.is_file())
+    assert files == sorted(git("ls-tree", "-r", "--name-only", "HEAD", "src").splitlines())
+    # a child, since this process has the working tree's gammabw loaded
+    done = subprocess.run(
+        [sys.executable, "-S", str(ROOT / "scripts" / "output_identity.py"), "--sweep", str(src)],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == git("show", "HEAD:tests/sweep.txt")

@@ -310,6 +310,52 @@ class TestOrderingAndMonotonicity:
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
+def wrong_steps(f, x, rising, lo=-math.inf, hi=math.inf):
+    """The pairs of adjacent doubles in [lo, hi], among x and the 3 000 on
+    each side of it, between which f steps against its direction, rising
+    or falling; equal values are no step."""
+    xs = [v for v in sorted(around(x, 3000)) if lo <= v <= hi]
+    values = [f(v) for v in xs]
+    pairs = zip(xs, xs[1:], values, values[1:])
+    return [(a, b) for a, b, fa, fb in pairs if (fb < fa if rising else fb > fa)]
+
+
+# where exp(wm1(z)) turns subnormal and wm1 skips its Newton step
+WM1_EW_SUBNORMAL = math.log(sys.float_info.min) * sys.float_info.min
+
+
+class TestMonotoneAcrossSeams:
+    """Over 3 000 adjacent doubles on each side of every seam, no value
+    steps against its branch's direction; each seam joins two formulas
+    whose errors could break monotonicity there."""
+
+    # r = ln(y)/(a-1): W0 + 1 and W0 - Wm1 fall as r rises to the branch
+    # point r = 0, Wm1 + 1 and the low crossing -W0 rise
+    @pytest.mark.parametrize("r", [*SEAMS, 0.0])
+    @pytest.mark.parametrize("f, rising", [
+        (lambda r: lambertw._principal(r, 1.0)[1], False),
+        (lambertw._secondary, True),
+        (lambda r: lambertw._cut(r, 1.0)[0], True),
+        (lambda r: lambertw._cut(r, 1.0)[2], False),
+    ], ids=["principal-offset", "secondary-offset", "cut-low-crossing", "cut-difference"])
+    def test_kernel_at_every_seam_in_r(self, f, rising, r):
+        assert wrong_steps(f, r, rising, hi=0.0) == []
+
+    @pytest.mark.parametrize("z", [0.0, math.e, 1e300, -INV_E, -0.5 * INV_E])
+    def test_w0_at_its_seams_in_z(self, z):
+        assert wrong_steps(w0, z, rising=True, lo=lambertw._BRANCH_POINT_MIN) == []
+
+    # wm1 at q = 1/2, z = -1/(2e), is left out: over the 3 000 doubles from
+    # there up (q >= 1/2) it steps the wrong way between 142 adjacent pairs
+    @pytest.mark.parametrize("z", [-INV_E, WM1_EW_SUBNORMAL, -sys.float_info.min])
+    def test_wm1_at_its_seams_in_z(self, z):
+        assert wrong_steps(wm1, z, rising=False, lo=lambertw._BRANCH_POINT_MIN) == []
+
+    def test_window_straddles_where_exp_wm1_turns_subnormal(self):
+        zs = around(WM1_EW_SUBNORMAL, 3000)
+        assert math.exp(wm1(min(zs))) >= sys.float_info.min > math.exp(wm1(max(zs)))
+
+
 class TestBranchDifference:
     def test_zero_at_branch_point(self):
         # W0 - Wm1 = +0 - -0 = +0 from either zero of r

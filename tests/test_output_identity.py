@@ -1,11 +1,11 @@
-"""The sweep of scripts/output_identity.py, which compares every public
-output with a git revision's, is fixed: two runs on the working tree give
-the same lines, and every public function of the four modules is called.
-Its bands of r, which it states itself, match the Lambert kernel's map of
-the pieces of a cut. The working tree's sweep is the committed one,
-tests/sweep.txt, line for line, so that every output move is a reviewed
-diff of that file."""
+"""The sweep of scripts/output_identity.py, which prints every public
+output, is fixed: two runs on the working tree give the same lines, and
+every public function of the four modules is called. Its bands of r, which
+it states itself, match the Lambert kernel's map of the pieces of a cut.
+The working tree's sweep is the committed one, tests/sweep.txt, line for
+line, so that every output move is a reviewed diff of that file."""
 
+import difflib
 import importlib.util
 import math
 import re
@@ -55,8 +55,11 @@ def test_sweep_is_the_committed_sweep():
     # python3 -S scripts/output_identity.py --sweep src > tests/sweep.txt
     # regenerates it; review the diff of that file before committing it
     committed = GOLDEN.read_text(encoding="utf-8").splitlines()
-    difference = load_script().first_difference(committed, sweep(), "tests/sweep.txt")
-    assert not difference, difference
+    ours = sweep()
+    moved = "\n".join(difflib.unified_diff(
+        committed, ours, "tests/sweep.txt", "working tree", n=0, lineterm=""
+    ))
+    assert committed == ours, moved
 
 
 def test_bands_sample_every_piece_of_the_kernels_map():
